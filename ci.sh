@@ -15,6 +15,12 @@ echo "==> cargo clippy hot-path crates (no redundant clones, no fat enums)"
 cargo clippy --offline -p gr-sim -p gr-phy -p gr-mac -p gr-net -- \
   -D warnings -D clippy::redundant_clone -D clippy::large_enum_variant
 
+echo "==> no implicit per-thread channels (runs take explicit Instruments)"
+if grep -rn 'thread_local!' crates/*/src; then
+  echo "thread_local! found in crates/*/src — pass state explicitly instead" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -112,6 +118,10 @@ cargo test --offline -q -p gr-bench --test conform --features inject-nav-bug
 
 echo "==> perf gate (pinned subset vs committed baseline, ±25%; conform overhead ≤40%)"
 cargo run --release --offline -p gr-bench --bin repro -- gate --check
+
+echo "==> benchmark package builds and passes its tests against the current API"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc"
 cargo doc --workspace --no-deps --offline -q

@@ -3,7 +3,7 @@
 //! regressions in the hot paths — medium, DCF, TCP — are caught).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, Instruments, NavInflationConfig, Run, Scenario, TransportKind};
 use sim::SimDuration;
 
 fn bench_udp_saturation(c: &mut Criterion) {
@@ -81,15 +81,19 @@ fn bench_recording_overhead(c: &mut Criterion) {
         let name = if on { "on" } else { "off" };
         g.bench_with_input(BenchmarkId::from_parameter(name), &on, |b, &on| {
             b.iter(|| {
-                let mut s = Scenario {
+                let s = Scenario {
                     duration: SimDuration::from_millis(500),
                     ..Scenario::default()
                 };
-                if on {
-                    s.record = Some(obs::ObsSpec::default());
-                }
-                let out = Run::plan(&s).execute().expect("valid scenario");
-                out.obs_report()
+                let instruments = Instruments {
+                    record: on.then(|| obs::ObsSpec::default().recorder()),
+                    ..Instruments::default()
+                };
+                Run::plan(&s)
+                    .instruments(&instruments)
+                    .execute()
+                    .expect("valid scenario");
+                instruments.record.map(|r| r.borrow_mut().drain_report())
             });
         });
     }

@@ -169,6 +169,38 @@ fn quality_for(quick: bool, seeds_override: Option<u64>) -> Quality {
     q
 }
 
+/// The campaign checkpoint spec the flags select: resume from the
+/// campaign directory `resume`, or record into `dir` when either
+/// interval is set, or none.
+fn checkpoint_spec(
+    resume: Option<&Path>,
+    dir: &Path,
+    checkpoint_every: Option<u64>,
+    audit_every: Option<u64>,
+) -> Result<Option<greedy80211::CampaignSpec>, sim::SimError> {
+    if let Some(from) = resume {
+        return greedy80211::CampaignSpec::resume_from(from).map(Some);
+    }
+    Ok(
+        (checkpoint_every.is_some() || audit_every.is_some()).then(|| {
+            greedy80211::CampaignSpec::record(
+                dir,
+                checkpoint_every.map(sim::SimDuration::from_millis),
+                audit_every.map(sim::SimDuration::from_millis),
+            )
+        }),
+    )
+}
+
+/// Reports how many runs of a resumed campaign restored their own
+/// checkpoint; the rest reran from the start.
+fn print_resume_tally(ctx: &RunCtx) {
+    if let Some(spec) = ctx.checkpoint.as_ref().filter(|s| s.resume) {
+        let (resumed, runs) = spec.resume_tally();
+        println!("  resumed {resumed} of {runs} runs");
+    }
+}
+
 /// Expands a leading subcommand (`run`, `gate`, `fuzz`, `world`, `cc`,
 /// `roc`) into the legacy flag spelling the single flag parser below
 /// understands. Anything else — including the old flag spellings, which
@@ -564,21 +596,11 @@ fn main() -> ExitCode {
                 j
             }
         });
-        let result = {
-            let _obs_guard = job.as_ref().map(|_| {
-                obs::ambient::install(
-                    obs::ObsSpec {
-                        capacity: 0,
-                        probe_interval: None,
-                        filter: obs::Filter::all(),
-                    }
-                    .recorder(),
-                )
-            });
-            let _cf_guard = job.as_ref().map(|j| ::conform::ambient::install(j.clone()));
-            greedy80211::Run::resume(path)
+        let instruments = greedy80211::Instruments {
+            conform: job.clone(),
+            ..Default::default()
         };
-        return match result {
+        return match greedy80211::Run::resume_with(path, &instruments) {
             Ok(out) => {
                 println!(
                     "resumed {} (point {}, seed {}) to {} ms of virtual time",
@@ -675,14 +697,13 @@ fn main() -> ExitCode {
         }
         let int_dir = out_dir.join("intensity");
         let mut ctx = RunCtx::with_jobs(quality, jobs);
-        if let Some(dir) = &resume {
-            ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::resume_from(dir));
-        } else if checkpoint_every.is_some() || audit_every.is_some() {
-            ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::record(
-                &int_dir,
-                checkpoint_every.map(sim::SimDuration::from_millis),
-                audit_every.map(sim::SimDuration::from_millis),
-            ));
+        match checkpoint_spec(resume.as_deref(), &int_dir, checkpoint_every, audit_every) {
+            Ok(Some(spec)) => ctx = ctx.with_checkpoints(spec),
+            Ok(None) => {}
+            Err(e) => {
+                eprintln!("--resume: {e}");
+                return ExitCode::FAILURE;
+            }
         }
         println!(
             "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){}\n",
@@ -731,6 +752,7 @@ fn main() -> ExitCode {
         for path in &report.csvs {
             println!("  -> {}", path.display());
         }
+        print_resume_tally(&ctx);
         println!("  ({:.1}s)", t.elapsed().as_secs_f64());
         return ExitCode::SUCCESS;
     }
@@ -982,14 +1004,13 @@ fn main() -> ExitCode {
         ctx = ctx.with_conform(c.clone());
     }
     let checkpointing = checkpoint_every.is_some() || audit_every.is_some();
-    if let Some(dir) = &resume {
-        ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::resume_from(dir));
-    } else if checkpointing {
-        ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::record(
-            &out_dir,
-            checkpoint_every.map(sim::SimDuration::from_millis),
-            audit_every.map(sim::SimDuration::from_millis),
-        ));
+    match checkpoint_spec(resume.as_deref(), &out_dir, checkpoint_every, audit_every) {
+        Ok(Some(spec)) => ctx = ctx.with_checkpoints(spec),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("--resume: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     println!(
         "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{}\n",
@@ -1069,6 +1090,7 @@ fn main() -> ExitCode {
         });
     }
     let total_s = t_all.elapsed().as_secs_f64();
+    print_resume_tally(&ctx);
     println!("total: {total_s:.1}s");
     let profile = campaign.as_ref().map(|_| obs::profile::snapshot());
     if let Err(e) = write_summary(&out_dir, jobs, quick, &timings, total_s, profile.as_deref()) {

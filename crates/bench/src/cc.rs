@@ -21,10 +21,10 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use greedy80211::{CcConfig, GreedyConfig, NavInflationConfig, Run, RunOutcome, Scenario};
+use greedy80211::{CcConfig, GreedyConfig, NavInflationConfig, RunOutcome, Scenario};
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
 /// Misbehaviors swept, in matrix row order.
 pub const ATTACKS: &[&str] = &["honest", "nav", "spoof", "fake"];
@@ -100,8 +100,8 @@ impl CcCampaign {
         let mut controller_csvs = Vec::new();
         for &cfg in &self.ccs {
             let label = format!("cc/{}", cfg.name());
-            let rows = sweep(&ctx, &label, ATTACKS, |&attack, seed| {
-                measure_cell(cfg, attack, &self.quality, seed)
+            let rows = sweep(&ctx, &label, ATTACKS, |&attack, job| {
+                measure_cell(cfg, attack, &self.quality, job)
             });
             let mut per = Experiment::new(
                 "cc",
@@ -149,13 +149,14 @@ fn cc_two_pair(cc: CcConfig, q: &Quality, seed: u64, ber: f64) -> Scenario {
 
 /// Measures one `(controller, attack)` cell for one seed: the honest
 /// baseline and the attacked run under matching channel conditions.
-fn measure_cell(cc: CcConfig, attack: &str, q: &Quality, seed: u64) -> Vec<f64> {
+fn measure_cell(cc: CcConfig, attack: &str, q: &Quality, job: &Job) -> Vec<f64> {
     let ber = if matches!(attack, "spoof" | "fake") {
         LOSSY_BER
     } else {
         0.0
     };
-    let honest = Run::plan(&cc_two_pair(cc, q, seed, ber))
+    let honest = job
+        .plan(&cc_two_pair(cc, q, job.seed, ber))
         .execute()
         .expect("valid scenario");
     let out = match attack {
@@ -169,9 +170,9 @@ fn measure_cell(cc: CcConfig, attack: &str, q: &Quality, seed: u64) -> Vec<f64> 
         other => panic!("unknown attack {other}"),
     }
     .map(|g| {
-        let mut s = cc_two_pair(cc, q, seed, ber);
+        let mut s = cc_two_pair(cc, q, job.seed, ber);
         s.greedy = vec![(1, g)];
-        Run::plan(&s).execute().expect("valid scenario")
+        job.plan(&s).execute().expect("valid scenario")
     })
     .unwrap_or_else(|| honest.clone());
     let victim = flow_stats(&out, 0);

@@ -8,24 +8,24 @@
 //! every overlap into a collision — the spoofer then additionally jams
 //! the victim's genuine ACKs, and the victim does even worse.
 
-use greedy80211::{GreedyConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, Scenario};
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
-fn spoof_with_threshold(q: &Quality, seed: u64, threshold_db: f64) -> Vec<f64> {
+fn spoof_with_threshold(q: &Quality, job: &Job, threshold_db: f64) -> Vec<f64> {
     // Scenario drives placement; we rebuild with a custom capture model
     // via the underlying builder by cloning the standard topology.
     let mut s = Scenario {
         byte_error_rate: 2e-4,
         duration: q.duration,
-        seed,
+        seed: job.seed,
         ..Scenario::default()
     };
-    let probe = Run::plan(&s).execute().expect("valid");
+    let probe = job.plan(&s).execute().expect("valid");
     s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![probe.receivers[0]], 1.0))];
     s.capture_threshold_db = Some(threshold_db);
-    let out = Run::plan(&s).execute().expect("valid");
+    let out = job.plan(&s).execute().expect("valid");
     vec![out.goodput_mbps(0), out.goodput_mbps(1)]
 }
 
@@ -40,8 +40,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Ablation: capture threshold vs ACK-spoofing outcome (TCP, BER 2e-4)",
         &["capture_threshold_db", "NR_mbps", "GR_mbps"],
     );
-    let rows = sweep(ctx, "abl2", THRESHOLDS_DB, |&thr, seed| {
-        spoof_with_threshold(q, seed, thr)
+    let rows = sweep(ctx, "abl2", THRESHOLDS_DB, |&thr, job| {
+        spoof_with_threshold(q, job, thr)
     });
     for (&thr, vals) in THRESHOLDS_DB.iter().zip(rows) {
         e.push_row(vec![format!("{thr}"), mbps(vals[0]), mbps(vals[1])]);

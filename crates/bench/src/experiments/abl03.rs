@@ -12,15 +12,15 @@ use net::NetworkBuilder;
 use phy::{ChannelModel, PhyParams, Position};
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
-fn run_case(q: &Quality, seed: u64, mtu: usize) -> Vec<f64> {
+fn run_case(q: &Quality, job: &Job, mtu: usize) -> Vec<f64> {
     // Fig. 23 geometry pinned at d = 48 m: victims hear R2's CTS but
     // not S2's RTS → the MTU bound is the only defence.
     let d = 48.0;
     let params = PhyParams::dot11b();
     let mut b = NetworkBuilder::new(params)
-        .seed(seed)
+        .seed(job.seed)
         .channel(ChannelModel::grc_evaluation());
     let add_grc = |b: &mut NetworkBuilder, pos: Position| {
         let (obs, _h) = GrcObserver::with_nav_mtu(params, true, mtu);
@@ -36,6 +36,7 @@ fn run_case(q: &Quality, seed: u64, mtu: usize) -> Vec<f64> {
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let f2 = b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(q.duration);
     vec![m.goodput_mbps(f1), m.goodput_mbps(f2)]
 }
@@ -52,7 +53,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Ablation: NAV-guard MTU assumption in the CTS-only band (Fig. 23 topology, d = 48 m)",
         &["assumed_mtu", "victim_mbps", "GR_mbps"],
     );
-    let rows = sweep(ctx, "abl3", MTUS, |&mtu, seed| run_case(q, seed, mtu));
+    let rows = sweep(ctx, "abl3", MTUS, |&mtu, job| run_case(q, job, mtu));
     for (&mtu, vals) in MTUS.iter().zip(rows) {
         e.push_row(vec![mtu.to_string(), mbps(vals[0]), mbps(vals[1])]);
     }

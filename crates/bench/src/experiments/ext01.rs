@@ -18,7 +18,7 @@ use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 
 use crate::experiments::fer_to_byte_rate;
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
 /// Frame error rates per 802.11b rate for the degraded link.
 const RATE_FER: [(u64, f64); 4] = [
@@ -39,8 +39,8 @@ fn degraded_link(b: &mut NetworkBuilder, tx: mac::NodeId, rx: mac::NodeId) {
 }
 
 /// Spoofing × ARF: returns `(victim, greedy)` goodput.
-fn spoof_case(q: &Quality, seed: u64, arf: bool, spoof: bool) -> Vec<f64> {
-    let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(seed);
+fn spoof_case(q: &Quality, job: &Job, arf: bool, spoof: bool) -> Vec<f64> {
+    let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(job.seed);
     let s0 = b.add_node(Position::new(0.0, 0.0));
     let s1 = b.add_node(Position::new(0.0, 20.0));
     let r0 = b.add_node(Position::new(20.0, 0.0));
@@ -62,15 +62,16 @@ fn spoof_case(q: &Quality, seed: u64, arf: bool, spoof: bool) -> Vec<f64> {
     let f0 = b.tcp_flow(s0, r0, Default::default());
     let f1 = b.tcp_flow(s1, r1, Default::default());
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(q.duration);
     vec![m.goodput_mbps(f0), m.goodput_mbps(f1)]
 }
 
 /// Fake ACK × ARF: the *greedy receiver's own* link degrades with rate.
 /// Returns `(normal, greedy)` goodput.
-fn fake_case(q: &Quality, seed: u64, arf: bool, fake: bool) -> Vec<f64> {
+fn fake_case(q: &Quality, job: &Job, arf: bool, fake: bool) -> Vec<f64> {
     let mut b = NetworkBuilder::new(PhyParams::dot11b())
-        .seed(seed)
+        .seed(job.seed)
         .rts(false);
     let s0 = b.add_node(Position::new(0.0, 0.0));
     let s1 = b.add_node(Position::new(0.0, 20.0));
@@ -91,6 +92,7 @@ fn fake_case(q: &Quality, seed: u64, arf: bool, fake: bool) -> Vec<f64> {
     let f0 = b.udp_flow(s0, r0, 1024, 10_000_000);
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(q.duration);
     vec![m.goodput_mbps(f0), m.goodput_mbps(f1)]
 }
@@ -106,8 +108,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Extension: misbehaviors under Automatic Rate Fallback (802.11b rate ladder)",
         &["study", "rate_ctrl", "attack", "victim/NR_mbps", "GR_mbps"],
     );
-    let spoof_rows = sweep(ctx, "ext1/spoofing", &GRID, |&(arf, spoof), seed| {
-        spoof_case(q, seed, arf, spoof)
+    let spoof_rows = sweep(ctx, "ext1/spoofing", &GRID, |&(arf, spoof), job| {
+        spoof_case(q, job, arf, spoof)
     });
     for (&(arf, spoof), vals) in GRID.iter().zip(spoof_rows) {
         e.push_row(vec![
@@ -118,8 +120,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             mbps(vals[1]),
         ]);
     }
-    let fake_rows = sweep(ctx, "ext1/fake_acks", &GRID, |&(arf, fake), seed| {
-        fake_case(q, seed, arf, fake)
+    let fake_rows = sweep(ctx, "ext1/fake_acks", &GRID, |&(arf, fake), job| {
+        fake_case(q, job, arf, fake)
     });
     for (&(arf, fake), vals) in GRID.iter().zip(fake_rows) {
         e.push_row(vec![

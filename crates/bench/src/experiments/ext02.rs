@@ -16,7 +16,7 @@ use net::NetworkBuilder;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 
 use crate::table::Experiment;
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Attack {
@@ -27,9 +27,9 @@ enum Attack {
 }
 
 /// Returns `(domino_flagged, grc_nav_detections, grc_spoof_flags)`.
-fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
+fn run_case(q: &Quality, job: &Job, attack: Attack) -> Vec<f64> {
     let params = PhyParams::dot11b();
-    let mut b = NetworkBuilder::new(params).seed(seed);
+    let mut b = NetworkBuilder::new(params).seed(job.seed);
     if attack == Attack::AckSpoof {
         b = b.default_error(ErrorModel::new(ErrorUnit::Byte, 2e-4).expect("rate"));
     }
@@ -62,7 +62,10 @@ fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
     b.udp_flow(s0, r0, 1024, 10_000_000);
     b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
+    // The trace recorder goes in first so a conformance checker taps it
+    // instead of replacing it.
     net.enable_trace(2_000_000);
+    job.instruments.attach(&mut net);
     net.run(q.duration);
     let domino = DominoDetector::new(params);
     let trace = net.trace().expect("trace enabled");
@@ -96,8 +99,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         ("nav_inflation", Attack::NavInflation),
         ("ack_spoofing", Attack::AckSpoof),
     ];
-    let rows = sweep(ctx, "ext2", &cases, |&(_, attack), seed| {
-        run_case(q, seed, attack)
+    let rows = sweep(ctx, "ext2", &cases, |&(_, attack), job| {
+        run_case(q, job, attack)
     });
     for (&(name, _), vals) in cases.iter().zip(rows) {
         e.push_row(vec![

@@ -2,7 +2,7 @@
 //! its CTS NAV (802.11b). Even a sub-millisecond inflation starves the
 //! competing flow completely.
 
-use greedy80211::{NavInflationConfig, Run};
+use greedy80211::NavInflationConfig;
 
 use crate::experiments::{nav_two_pair, UDP_NAV_SWEEP_US};
 use crate::table::{mbps, Experiment};
@@ -16,9 +16,14 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 1: UDP goodput vs CTS-NAV inflation (802.11b)",
         &["inflate_us", "NR_mbps", "GR_mbps"],
     );
-    let rows = sweep(ctx, "fig1", UDP_NAV_SWEEP_US, |&inflate, seed| {
-        let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), q, seed);
-        let out = Run::plan(&s).execute().expect("valid scenario");
+    let rows = sweep(ctx, "fig1", UDP_NAV_SWEEP_US, |&inflate, job| {
+        let s = nav_two_pair(
+            true,
+            NavInflationConfig::cts_only(inflate, 1.0),
+            q,
+            job.seed,
+        );
+        let out = job.plan(&s).execute().expect("valid scenario");
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
     });
     for (&inflate, vals) in UDP_NAV_SWEEP_US.iter().zip(rows) {

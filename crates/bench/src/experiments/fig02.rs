@@ -2,7 +2,7 @@
 //! as the NAV inflation grows (UDP, 802.11b). GS stays near CWmin while
 //! NS's collisions drive its window up.
 
-use greedy80211::{NavInflationConfig, Run};
+use greedy80211::NavInflationConfig;
 
 use crate::experiments::{nav_two_pair, UDP_NAV_SWEEP_US};
 use crate::table::Experiment;
@@ -16,9 +16,14 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 2: average contention window of GS and NS vs CTS-NAV inflation (UDP, 802.11b)",
         &["inflate_us", "NS_avg_cw", "GS_avg_cw"],
     );
-    let rows = sweep(ctx, "fig2", UDP_NAV_SWEEP_US, |&inflate, seed| {
-        let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), q, seed);
-        let out = Run::plan(&s).execute().expect("valid scenario");
+    let rows = sweep(ctx, "fig2", UDP_NAV_SWEEP_US, |&inflate, job| {
+        let s = nav_two_pair(
+            true,
+            NavInflationConfig::cts_only(inflate, 1.0),
+            q,
+            job.seed,
+        );
+        let out = job.plan(&s).execute().expect("valid scenario");
         let cw = |node| {
             out.metrics
                 .node(node)

@@ -2,7 +2,7 @@
 //! RTS counts against the analytical model (paper Equations 1–2), fed
 //! with the empirical contention-window distributions from the same run.
 
-use greedy80211::{model, NavInflationConfig, Run};
+use greedy80211::{model, NavInflationConfig};
 
 use crate::experiments::{nav_two_pair, UDP_NAV_SWEEP_US};
 use crate::table::{ratio, Experiment};
@@ -16,9 +16,14 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 3: GS share of transmissions — simulation vs analytical model (UDP, 802.11b)",
         &["inflate_us", "measured_GS_share", "model_GS_share"],
     );
-    let rows = sweep(ctx, "fig3", UDP_NAV_SWEEP_US, |&inflate, seed| {
-        let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), q, seed);
-        let out = Run::plan(&s).execute().expect("valid scenario");
+    let rows = sweep(ctx, "fig3", UDP_NAV_SWEEP_US, |&inflate, job| {
+        let s = nav_two_pair(
+            true,
+            NavInflationConfig::cts_only(inflate, 1.0),
+            q,
+            job.seed,
+        );
+        let out = job.plan(&s).execute().expect("valid scenario");
         let ns = &out.metrics.node(out.senders[0]).unwrap().counters;
         let gs = &out.metrics.node(out.senders[1]).unwrap().counters;
         let measured = {

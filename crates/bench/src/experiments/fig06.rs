@@ -1,7 +1,7 @@
 //! Fig. 6 — Eight TCP flows, one greedy receiver sweeping its CTS-NAV
 //! inflation. ~10 ms suffices to dominate the cell.
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
 
 use crate::experiments::TCP_NAV_SWEEP_MS;
 use crate::table::{mbps, Experiment};
@@ -18,11 +18,11 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 6: 8 TCP flows, one greedy receiver inflating CTS NAV (802.11b)",
         &["inflate_ms", "GR_mbps", "avg_NR_mbps", "min_NR_mbps"],
     );
-    let rows = sweep(ctx, "fig6", TCP_NAV_SWEEP_MS, |&ms, seed| {
+    let rows = sweep(ctx, "fig6", TCP_NAV_SWEEP_MS, |&ms, job| {
         let mut s = Scenario {
             pairs: PAIRS,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         if ms > 0 {
@@ -31,7 +31,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
                 GreedyConfig::nav_inflation(NavInflationConfig::cts_only(ms * 1_000, 1.0)),
             )];
         }
-        let out = Run::plan(&s).execute().expect("valid scenario");
+        let out = job.plan(&s).execute().expect("valid scenario");
         let normals: Vec<f64> = (0..PAIRS)
             .filter(|&i| i != GREEDY)
             .map(|i| out.goodput_mbps(i))

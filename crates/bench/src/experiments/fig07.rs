@@ -1,7 +1,7 @@
 //! Fig. 7 — Varying the greedy percentage: inflating only a fraction of
 //! CTS frames still pays handsomely (TCP, 802.11b).
 
-use greedy80211::{NavInflationConfig, Run};
+use greedy80211::NavInflationConfig;
 
 use crate::experiments::nav_two_pair;
 use crate::table::{mbps, Experiment};
@@ -19,10 +19,10 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .iter()
         .flat_map(|&ms| [0u32, 25, 50, 75, 100].iter().map(move |&gp| (ms, gp)))
         .collect();
-    let rows = sweep(ctx, "fig7", &grid, |&(ms, gp), seed| {
+    let rows = sweep(ctx, "fig7", &grid, |&(ms, gp), job| {
         let nav = NavInflationConfig::cts_only(ms * 1_000, gp as f64 / 100.0);
-        let s = nav_two_pair(false, nav, q, seed);
-        let out = Run::plan(&s).execute().expect("valid scenario");
+        let s = nav_two_pair(false, nav, q, job.seed);
+        let out = job.plan(&s).execute().expect("valid scenario");
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
     });
     for (&(ms, gp), vals) in grid.iter().zip(rows) {

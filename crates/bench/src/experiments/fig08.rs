@@ -1,7 +1,7 @@
 //! Fig. 8 — Zero, one or two greedy receivers among two TCP pairs.
 //! With both greedy, whoever grabs the medium first keeps it.
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
 
 use crate::table::{mbps, Experiment};
 use crate::{sweep, RunCtx};
@@ -18,10 +18,10 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .iter()
         .flat_map(|&ms| (0..=2usize).map(move |n| (ms, n)))
         .collect();
-    let rows = sweep(ctx, "fig8", &grid, |&(ms, num_greedy), seed| {
+    let rows = sweep(ctx, "fig8", &grid, |&(ms, num_greedy), job| {
         let mut s = Scenario {
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         let cfg = || GreedyConfig::nav_inflation(NavInflationConfig::cts_only(ms * 1_000, 1.0));
@@ -30,7 +30,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             1 => vec![(1, cfg())],
             _ => vec![(0, cfg()), (1, cfg())],
         };
-        let out = Run::plan(&s).execute().expect("valid scenario");
+        let out = job.plan(&s).execute().expect("valid scenario");
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
     });
     for (&(ms, num_greedy), vals) in grid.iter().zip(rows) {

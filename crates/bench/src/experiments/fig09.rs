@@ -2,7 +2,7 @@
 //! (CTS NAV +31 ms, GP 100 %). Beyond one greedy receiver only a single
 //! one survives: the first to grab the channel re-reserves it forever.
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
 
 use crate::table::{mbps, Experiment};
 use crate::{sweep, RunCtx};
@@ -21,11 +21,11 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         &col_refs,
     );
     let points: Vec<usize> = (0..=PAIRS).collect();
-    let rows = sweep(ctx, "fig9", &points, |&num_greedy, seed| {
+    let rows = sweep(ctx, "fig9", &points, |&num_greedy, job| {
         let mut s = Scenario {
             pairs: PAIRS,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         s.greedy = (0..num_greedy)
@@ -36,7 +36,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
                 )
             })
             .collect();
-        let out = Run::plan(&s).execute().expect("valid scenario");
+        let out = job.plan(&s).execute().expect("valid scenario");
         (0..PAIRS).map(|i| out.goodput_mbps(i)).collect()
     });
     for (&num_greedy, vals) in points.iter().zip(rows) {

@@ -2,7 +2,7 @@
 //! blocking at the shared AP softens (but does not remove) the NAV
 //! inflation gain; under UDP both receivers lose.
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario, TransportKind};
 
 use crate::experiments::TCP_NAV_SWEEP_MS;
 use crate::table::{mbps, Experiment};
@@ -37,8 +37,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         &["variant", "inflate_ms", "NR_mbps", "GR_mbps"],
     );
     // (a) TCP, 2 receivers.
-    let rows = sweep(ctx, "fig10/tcp_2rx", TCP_NAV_SWEEP_MS, |&ms, seed| {
-        let out = Run::plan(&shared(q, seed, 2, false, ms))
+    let rows = sweep(ctx, "fig10/tcp_2rx", TCP_NAV_SWEEP_MS, |&ms, job| {
+        let out = job
+            .plan(&shared(q, job.seed, 2, false, ms))
             .execute()
             .expect("valid");
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
@@ -53,8 +54,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
     }
     // (b) TCP, 8 receivers (7 normal + 1 greedy); NR column is the
     // average of the seven normal receivers.
-    let rows = sweep(ctx, "fig10/tcp_8rx", TCP_NAV_SWEEP_MS, |&ms, seed| {
-        let out = Run::plan(&shared(q, seed, 8, false, ms))
+    let rows = sweep(ctx, "fig10/tcp_8rx", TCP_NAV_SWEEP_MS, |&ms, job| {
+        let out = job
+            .plan(&shared(q, job.seed, 8, false, ms))
             .execute()
             .expect("valid");
         let avg_nr = (0..7).map(|i| out.goodput_mbps(i)).sum::<f64>() / 7.0;
@@ -69,8 +71,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         ]);
     }
     // (c) UDP, 2 receivers: both flows suffer together.
-    let rows = sweep(ctx, "fig10/udp_2rx", TCP_NAV_SWEEP_MS, |&ms, seed| {
-        let out = Run::plan(&shared(q, seed, 2, true, ms))
+    let rows = sweep(ctx, "fig10/udp_2rx", TCP_NAV_SWEEP_MS, |&ms, job| {
+        let out = job
+            .plan(&shared(q, job.seed, 2, true, ms))
             .execute()
             .expect("valid");
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]

@@ -3,18 +3,18 @@
 //! little loss gives nothing to disable, too much loss hurts the greedy
 //! flow itself.
 
-use greedy80211::{GreedyConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, Scenario};
 use phy::PhyStandard;
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
 /// BER values swept (paper Table III's grid, plus clean).
 pub(crate) const BER_SWEEP: &[f64] = &[0.0, 1e-5, 1e-4, 2e-4, 3.2e-4, 4.4e-4, 8e-4];
 
 pub(crate) fn spoof_pair(
     q: &Quality,
-    seed: u64,
+    job: &Job,
     phy: PhyStandard,
     ber: f64,
     gp: f64,
@@ -23,13 +23,13 @@ pub(crate) fn spoof_pair(
         phy,
         byte_error_rate: ber,
         duration: q.duration,
-        seed,
+        seed: job.seed,
         ..Scenario::default()
     };
-    let base = Run::plan(&s).execute().expect("valid");
+    let base = job.plan(&s).execute().expect("valid");
     if gp > 0.0 {
         s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![base.receivers[0]], gp))];
-        Run::plan(&s).execute().expect("valid")
+        job.plan(&s).execute().expect("valid")
     } else {
         base
     }
@@ -45,9 +45,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
     );
     for phy in [PhyStandard::Dot11b, PhyStandard::Dot11a] {
         let label = format!("fig11/{phy}");
-        let rows = sweep(ctx, &label, BER_SWEEP, |&ber, seed| {
-            let base = spoof_pair(q, seed, phy, ber, 0.0);
-            let attacked = spoof_pair(q, seed, phy, ber, 1.0);
+        let rows = sweep(ctx, &label, BER_SWEEP, |&ber, job| {
+            let base = spoof_pair(q, job, phy, ber, 0.0);
+            let attacked = spoof_pair(q, job, phy, ber, 1.0);
             vec![
                 base.goodput_mbps(0),
                 base.goodput_mbps(1),

@@ -19,8 +19,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .iter()
         .flat_map(|&ber| [0u32, 20, 50, 80, 100].iter().map(move |&gp| (ber, gp)))
         .collect();
-    let rows = sweep(ctx, "fig12", &grid, |&(ber, gp), seed| {
-        let out = spoof_pair(q, seed, PhyStandard::Dot11b, ber, gp as f64 / 100.0);
+    let rows = sweep(ctx, "fig12", &grid, |&(ber, gp), job| {
+        let out = spoof_pair(q, job, PhyStandard::Dot11b, ber, gp as f64 / 100.0);
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
     });
     for (&(ber, gp), vals) in grid.iter().zip(rows) {

@@ -2,7 +2,7 @@
 //! With mutual spoofing both flows disable each other's MAC recovery
 //! and total goodput collapses as GP grows.
 
-use greedy80211::{GreedyConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, Scenario};
 
 use crate::table::{mbps, Experiment};
 use crate::{sweep, RunCtx};
@@ -20,14 +20,14 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         // baseline is GP-independent
         .filter(|&(n, gp)| !(n == 0 && gp != 100))
         .collect();
-    let rows = sweep(ctx, "fig13", &grid, |&(num_greedy, gp), seed| {
+    let rows = sweep(ctx, "fig13", &grid, |&(num_greedy, gp), job| {
         let mut s = Scenario {
             byte_error_rate: 2e-4,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
-        let probe = Run::plan(&s).execute().expect("valid");
+        let probe = job.plan(&s).execute().expect("valid");
         let (r0, r1) = (probe.receivers[0], probe.receivers[1]);
         let gpf = gp as f64 / 100.0;
         s.greedy = match num_greedy {
@@ -38,7 +38,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
                 (1, GreedyConfig::ack_spoofing(vec![r0], gpf)),
             ],
         };
-        let out = Run::plan(&s).execute().expect("valid");
+        let out = job.plan(&s).execute().expect("valid");
         let (a, b) = (out.goodput_mbps(0), out.goodput_mbps(1));
         vec![a, b, a + b]
     });

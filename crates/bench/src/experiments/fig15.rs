@@ -2,18 +2,18 @@
 //! multiplies the cost of end-to-end recovery. The gap peaks around
 //! 200 ms, after which ACK clocking throttles the greedy flow too.
 
-use greedy80211::{GreedyConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, Scenario};
 use sim::SimDuration;
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
 /// Wire latencies swept, in ms (paper: 2–400 ms).
 pub(crate) const WIRE_SWEEP_MS: &[u64] = &[2, 10, 50, 100, 200, 400];
 
 pub(crate) fn remote_pair(
     q: &Quality,
-    seed: u64,
+    job: &Job,
     wire_ms: u64,
     gp: f64,
 ) -> greedy80211::RunOutcome {
@@ -22,13 +22,13 @@ pub(crate) fn remote_pair(
         wire_delay: Some(SimDuration::from_millis(wire_ms)),
         // Remote runs need longer to amortize slow start over long RTTs.
         duration: (q.duration * 2).max(SimDuration::from_secs(10)),
-        seed,
+        seed: job.seed,
         ..Scenario::default()
     };
-    let base = Run::plan(&s).execute().expect("valid");
+    let base = job.plan(&s).execute().expect("valid");
     if gp > 0.0 {
         s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![base.receivers[0]], gp))];
-        Run::plan(&s).execute().expect("valid")
+        job.plan(&s).execute().expect("valid")
     } else {
         base
     }
@@ -42,9 +42,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 15: remote TCP senders over a wired backbone, R2 spoofs for R1 (BER 2e-5)",
         &["wire_ms", "noGR_R1", "noGR_R2", "wGR_NR", "wGR_GR"],
     );
-    let rows = sweep(ctx, "fig15", WIRE_SWEEP_MS, |&wire_ms, seed| {
-        let base = remote_pair(q, seed, wire_ms, 0.0);
-        let attacked = remote_pair(q, seed, wire_ms, 1.0);
+    let rows = sweep(ctx, "fig15", WIRE_SWEEP_MS, |&wire_ms, job| {
+        let base = remote_pair(q, job, wire_ms, 0.0);
+        let attacked = remote_pair(q, job, wire_ms, 1.0);
         vec![
             base.goodput_mbps(0),
             base.goodput_mbps(1),

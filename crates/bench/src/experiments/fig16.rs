@@ -18,8 +18,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .iter()
         .flat_map(|&ms| [0u32, 20, 50, 100].iter().map(move |&gp| (ms, gp)))
         .collect();
-    let rows = sweep(ctx, "fig16", &grid, |&(wire_ms, gp), seed| {
-        let out = remote_pair(q, seed, wire_ms, gp as f64 / 100.0);
+    let rows = sweep(ctx, "fig16", &grid, |&(wire_ms, gp), job| {
+        let out = remote_pair(q, job, wire_ms, gp as f64 / 100.0);
         vec![out.goodput_mbps(0), out.goodput_mbps(1)]
     });
     for (&(wire_ms, gp), vals) in grid.iter().zip(rows) {

@@ -3,7 +3,7 @@
 //! service time toward the greedy receiver, though less dramatically
 //! than under TCP (no congestion-control amplification).
 
-use greedy80211::{GreedyConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, Scenario, TransportKind};
 
 use crate::table::{mbps, Experiment};
 use crate::{sweep, RunCtx};
@@ -19,18 +19,18 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Fig. 17: UDP goodput vs loss rate, shared AP, R2 spoofs for R1 (802.11b)",
         &["BER", "noGR_R1", "noGR_R2", "wGR_NR", "wGR_GR"],
     );
-    let rows = sweep(ctx, "fig17", BERS, |&ber, seed| {
+    let rows = sweep(ctx, "fig17", BERS, |&ber, job| {
         let mut s = Scenario {
             shared_sender: true,
             transport: TransportKind::SATURATING_UDP,
             byte_error_rate: ber,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
-        let base = Run::plan(&s).execute().expect("valid");
+        let base = job.plan(&s).execute().expect("valid");
         s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![base.receivers[0]], 1.0))];
-        let out = Run::plan(&s).execute().expect("valid");
+        let out = job.plan(&s).execute().expect("valid");
         vec![
             base.goodput_mbps(0),
             base.goodput_mbps(1),

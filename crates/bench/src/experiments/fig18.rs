@@ -8,12 +8,12 @@ use phy::{ChannelModel, PhyParams, PhyStandard, Position};
 use sim::SimDuration;
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, RunCtx};
+use crate::{sweep, Job, RunCtx};
 
 /// Hidden-terminal outcome: `(R1 goodput, R2 goodput, S1 avg CW, S2 avg CW)`.
 pub(crate) fn hidden_terminal(
     phy: PhyStandard,
-    seed: u64,
+    job: &Job,
     duration: SimDuration,
     greedy: &[usize],
     gp: f64,
@@ -21,7 +21,7 @@ pub(crate) fn hidden_terminal(
     // Receivers adjacent in the middle, senders out of each other's
     // carrier-sense range (paper §V-C).
     let mut b = NetworkBuilder::new(PhyParams::for_standard(phy))
-        .seed(seed)
+        .seed(job.seed)
         .rts(false)
         .channel(ChannelModel::with_ranges(60.0, 60.0));
     let s1 = b.add_node(Position::new(0.0, 0.0));
@@ -38,6 +38,7 @@ pub(crate) fn hidden_terminal(
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let f2 = b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(duration);
     vec![
         m.goodput_mbps(f1),
@@ -60,10 +61,10 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .flat_map(|&greedy| [25u32, 50, 75, 100].iter().map(move |&gp| (greedy, gp)))
         .filter(|&(greedy, gp)| !(greedy.is_empty() && gp != 100))
         .collect();
-    let rows = sweep(ctx, "fig18", &grid, |&(greedy, gp), seed| {
+    let rows = sweep(ctx, "fig18", &grid, |&(greedy, gp), job| {
         hidden_terminal(
             PhyStandard::Dot11b,
-            seed,
+            job,
             q.duration,
             greedy,
             gp as f64 / 100.0,

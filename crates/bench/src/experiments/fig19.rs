@@ -3,7 +3,7 @@
 //! competitors (per-flow goodput falls) but the *relative* advantage
 //! persists.
 
-use greedy80211::{GreedyConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, Scenario, TransportKind};
 
 use crate::experiments::fer_to_byte_rate;
 use crate::table::{mbps, Experiment};
@@ -21,7 +21,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         .iter()
         .flat_map(|&fer| [1usize, 2, 4, 6].iter().map(move |&n| (fer, n)))
         .collect();
-    let rows = sweep(ctx, "fig19", &grid, |&(fer, n), seed| {
+    let rows = sweep(ctx, "fig19", &grid, |&(fer, n), job| {
         let pairs = n + 1;
         let mut s = Scenario {
             pairs,
@@ -29,11 +29,11 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             rts: false,
             byte_error_rate: fer_to_byte_rate(fer),
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         s.greedy = vec![(pairs - 1, GreedyConfig::fake_acks(1.0))];
-        let out = Run::plan(&s).execute().expect("valid");
+        let out = job.plan(&s).execute().expect("valid");
         let normals: Vec<f64> = (0..n).map(|i| out.goodput_mbps(i)).collect();
         vec![
             out.goodput_mbps(pairs - 1),

@@ -16,7 +16,7 @@ use phy::{ChannelModel, PhyParams, Position};
 use sim::SimDuration;
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, RunCtx};
+use crate::{sweep, Job, RunCtx};
 
 const DISTANCES_M: &[f64] = &[10.0, 25.0, 40.0, 48.0, 54.0, 60.0, 80.0, 95.0, 105.0, 120.0];
 
@@ -27,10 +27,10 @@ enum Mode {
     GreedyWithGrc,
 }
 
-fn run_case(seed: u64, duration: SimDuration, d: f64, udp: bool, mode: Mode) -> Vec<f64> {
+fn run_case(job: &Job, duration: SimDuration, d: f64, udp: bool, mode: Mode) -> Vec<f64> {
     let params = PhyParams::dot11b();
     let mut b = NetworkBuilder::new(params)
-        .seed(seed)
+        .seed(job.seed)
         .channel(ChannelModel::grc_evaluation());
     let add = |b: &mut NetworkBuilder, pos: Position, grc: bool| {
         if grc {
@@ -67,6 +67,7 @@ fn run_case(seed: u64, duration: SimDuration, d: f64, udp: bool, mode: Mode) -> 
         )
     };
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(duration);
     vec![m.goodput_mbps(f1), m.goodput_mbps(f2)]
 }
@@ -91,10 +92,10 @@ pub fn run(ctx: &RunCtx) -> Experiment {
     for udp in [true, false] {
         let name = if udp { "udp" } else { "tcp" };
         let label = format!("fig23/{name}");
-        let rows = sweep(ctx, &label, DISTANCES_M, |&d, seed| {
-            let mut row = run_case(seed, q.duration, d, udp, Mode::NoGreedy);
-            row.extend(run_case(seed, q.duration, d, udp, Mode::Greedy));
-            row.extend(run_case(seed, q.duration, d, udp, Mode::GreedyWithGrc));
+        let rows = sweep(ctx, &label, DISTANCES_M, |&d, job| {
+            let mut row = run_case(job, q.duration, d, udp, Mode::NoGreedy);
+            row.extend(run_case(job, q.duration, d, udp, Mode::Greedy));
+            row.extend(run_case(job, q.duration, d, udp, Mode::GreedyWithGrc));
             row
         });
         for (&d, vals) in DISTANCES_M.iter().zip(rows) {

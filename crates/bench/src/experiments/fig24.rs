@@ -1,7 +1,7 @@
 //! Fig. 24 — GRC against ACK spoofing across the loss-rate sweep: with
 //! the RSSI vetting enabled, both flows track the no-attack curves.
 
-use greedy80211::{GreedyConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, Scenario};
 
 use crate::table::{mbps, Experiment};
 use crate::{sweep, RunCtx};
@@ -19,18 +19,18 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             "BER", "noGR_R1", "noGR_R2", "wGR_NR", "wGR_GR", "GRC_NR", "GRC_GR",
         ],
     );
-    let rows = sweep(ctx, "fig24", BERS, |&ber, seed| {
+    let rows = sweep(ctx, "fig24", BERS, |&ber, job| {
         let mut s = Scenario {
             byte_error_rate: ber,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
-        let base = Run::plan(&s).execute().expect("valid");
+        let base = job.plan(&s).execute().expect("valid");
         s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![base.receivers[0]], 1.0))];
-        let attacked = Run::plan(&s).execute().expect("valid");
+        let attacked = job.plan(&s).execute().expect("valid");
         s.grc = Some(true);
-        let guarded = Run::plan(&s).execute().expect("valid");
+        let guarded = job.plan(&s).execute().expect("valid");
         vec![
             base.goodput_mbps(0),
             base.goodput_mbps(1),

@@ -44,7 +44,7 @@ pub mod tab07;
 pub mod tab08;
 pub mod tab09;
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
 
 use crate::Quality;
 
@@ -98,15 +98,15 @@ pub(crate) fn nav_frames_experiment(
     let mut e = Experiment::new(id, title, &["frames", "inflate_ms", "NR_mbps", "GR_mbps"]);
     for (name, frames) in variants {
         let label = format!("{id}/{name}");
-        let rows = crate::sweep(ctx, &label, TCP_NAV_SWEEP_MS, |&ms, seed| {
+        let rows = crate::sweep(ctx, &label, TCP_NAV_SWEEP_MS, |&ms, job| {
             let nav = NavInflationConfig {
                 inflate_us: ms * 1_000,
                 gp: 1.0,
                 frames,
             };
-            let mut s = nav_two_pair(false, nav, q, seed);
+            let mut s = nav_two_pair(false, nav, q, job.seed);
             s.phy = phy;
-            let out = Run::plan(&s).execute().expect("valid scenario");
+            let out = job.plan(&s).execute().expect("valid scenario");
             vec![out.goodput_mbps(0), out.goodput_mbps(1)]
         });
         for (&ms, vals) in TCP_NAV_SWEEP_MS.iter().zip(rows) {

@@ -1,7 +1,7 @@
 //! Table II — Average TCP congestion window under CTS-NAV inflation,
 //! one shared sender vs two independent senders.
 
-use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
+use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
 
 use crate::table::Experiment;
 use crate::{sweep, RunCtx};
@@ -24,7 +24,7 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Table II: average TCP congestion window vs CTS-NAV inflation (802.11b)",
         &["inflate_ms", "S-NR", "S-GR", "NS-NR", "GS-GR"],
     );
-    let rows = sweep(ctx, "tab2", INFLATE_MS, |&ms, seed| {
+    let rows = sweep(ctx, "tab2", INFLATE_MS, |&ms, job| {
         let greedy = |s: &mut Scenario| {
             if ms > 0 {
                 s.greedy = vec![(
@@ -37,19 +37,19 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         let mut one = Scenario {
             shared_sender: true,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         greedy(&mut one);
-        let one = Run::plan(&one).execute().expect("valid");
+        let one = job.plan(&one).execute().expect("valid");
         // Two senders.
         let mut two = Scenario {
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         greedy(&mut two);
-        let two = Run::plan(&two).execute().expect("valid");
+        let two = job.plan(&two).execute().expect("valid");
         vec![
             avg_cwnd(&one, 0),
             avg_cwnd(&one, 1),

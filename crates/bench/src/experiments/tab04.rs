@@ -24,8 +24,8 @@ pub fn run(ctx: &RunCtx) -> Experiment {
     ];
     for phy in [PhyStandard::Dot11b, PhyStandard::Dot11a] {
         let label = format!("tab4/{phy}");
-        let rows = sweep(ctx, &label, &configs, |&(_, greedy), seed| {
-            hidden_terminal(phy, seed, q.duration, greedy, 1.0)
+        let rows = sweep(ctx, &label, &configs, |&(_, greedy), job| {
+            hidden_terminal(phy, job, q.duration, greedy, 1.0)
         });
         for (&(name, _), vals) in configs.iter().zip(rows) {
             e.push_row(vec![

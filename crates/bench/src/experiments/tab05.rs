@@ -2,7 +2,7 @@
 //! consistent gain for the faker; with two fakers both still improve
 //! (backoff was pure waste against noise).
 
-use greedy80211::{GreedyConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, Scenario, TransportKind};
 
 use crate::experiments::fer_to_byte_rate;
 use crate::table::{mbps, Experiment};
@@ -27,25 +27,25 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             "2GR_R2",
         ],
     );
-    let rows = sweep(ctx, "tab5", FERS, |&fer, seed| {
+    let rows = sweep(ctx, "tab5", FERS, |&fer, job| {
         let base_scenario = || Scenario {
             transport: TransportKind::SATURATING_UDP,
             rts: false,
             byte_error_rate: fer_to_byte_rate(fer),
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
-        let no_gr = Run::plan(&base_scenario()).execute().expect("valid");
+        let no_gr = job.plan(&base_scenario()).execute().expect("valid");
         let mut one = base_scenario();
         one.greedy = vec![(1, GreedyConfig::fake_acks(1.0))];
-        let one = Run::plan(&one).execute().expect("valid");
+        let one = job.plan(&one).execute().expect("valid");
         let mut two = base_scenario();
         two.greedy = vec![
             (0, GreedyConfig::fake_acks(1.0)),
             (1, GreedyConfig::fake_acks(1.0)),
         ];
-        let two = Run::plan(&two).execute().expect("valid");
+        let two = job.plan(&two).execute().expect("valid");
         vec![
             no_gr.goodput_mbps(0),
             no_gr.goodput_mbps(1),

@@ -3,7 +3,7 @@
 //! maximum (32 767 µs). Two pairs, 802.11a at 6 Mb/s, RTS/CTS on —
 //! mirroring the paper's MadWiFi setup in simulation.
 
-use greedy80211::{InflatedFrames, NavInflationConfig, Run, Scenario};
+use greedy80211::{InflatedFrames, NavInflationConfig, Scenario};
 use phy::PhyStandard;
 
 use crate::experiments::nav_two_pair;
@@ -26,18 +26,18 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             ..InflatedFrames::default()
         },
     };
-    let rows = sweep(ctx, "tab6", &[()], |_, seed| {
+    let rows = sweep(ctx, "tab6", &[()], |_, job| {
         let mut base = Scenario {
             phy: PhyStandard::Dot11a,
             duration: q.duration,
-            seed,
+            seed: job.seed,
             ..Scenario::default()
         };
         base.greedy.clear();
-        let base = Run::plan(&base).execute().expect("valid");
-        let mut attack = nav_two_pair(false, nav.clone(), q, seed);
+        let base = job.plan(&base).execute().expect("valid");
+        let mut attack = nav_two_pair(false, nav.clone(), q, job.seed);
         attack.phy = PhyStandard::Dot11a;
-        let attack = Run::plan(&attack).execute().expect("valid");
+        let attack = job.plan(&attack).execute().expect("valid");
         vec![
             base.goodput_mbps(0),
             base.goodput_mbps(1),

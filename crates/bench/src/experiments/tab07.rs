@@ -2,19 +2,19 @@
 //! receiver inflates CTS and/or ACK NAVs to the maximum (802.11a,
 //! 6 Mb/s, two pairs), with and without RTS/CTS.
 
-use greedy80211::{GreedyConfig, InflatedFrames, NavInflationConfig, Run, Scenario, TransportKind};
+use greedy80211::{GreedyConfig, InflatedFrames, NavInflationConfig, Scenario, TransportKind};
 use phy::PhyStandard;
 
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
-fn scenario(q: &Quality, seed: u64, rts: bool, frames: Option<InflatedFrames>) -> Vec<f64> {
+fn scenario(q: &Quality, job: &Job, rts: bool, frames: Option<InflatedFrames>) -> Vec<f64> {
     let mut s = Scenario {
         phy: PhyStandard::Dot11a,
         transport: TransportKind::SATURATING_UDP,
         rts,
         duration: q.duration,
-        seed,
+        seed: job.seed,
         ..Scenario::default()
     };
     if let Some(frames) = frames {
@@ -27,7 +27,7 @@ fn scenario(q: &Quality, seed: u64, rts: bool, frames: Option<InflatedFrames>) -
             }),
         )];
     }
-    let out = Run::plan(&s).execute().expect("valid");
+    let out = job.plan(&s).execute().expect("valid");
     vec![out.goodput_mbps(0), out.goodput_mbps(1)]
 }
 
@@ -53,9 +53,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
             },
         ),
     ];
-    let rows = sweep(ctx, "tab7", &cases, |&(_, rts, frames), seed| {
-        let mut row = scenario(q, seed, rts, None);
-        row.extend(scenario(q, seed, rts, Some(frames)));
+    let rows = sweep(ctx, "tab7", &cases, |&(_, rts, frames), job| {
+        let mut row = scenario(q, job, rts, None);
+        row.extend(scenario(q, job, rts, Some(frames)));
         row
     });
     for (&(name, _, _), vals) in cases.iter().zip(rows) {

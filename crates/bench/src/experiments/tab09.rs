@@ -8,11 +8,11 @@ use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 
 use crate::experiments::fer_to_byte_rate;
 use crate::table::{mbps, Experiment};
-use crate::{sweep, Quality, RunCtx};
+use crate::{sweep, Job, Quality, RunCtx};
 
-fn run_case(q: &Quality, seed: u64, emulate_fake: bool) -> Vec<f64> {
+fn run_case(q: &Quality, job: &Job, emulate_fake: bool) -> Vec<f64> {
     let mut b = NetworkBuilder::new(PhyParams::dot11a())
-        .seed(seed)
+        .seed(job.seed)
         .rts(false)
         .default_error(ErrorModel::new(ErrorUnit::Byte, fer_to_byte_rate(0.15)).expect("rate"));
     let ap = b.add_node(Position::new(0.0, 0.0));
@@ -26,6 +26,7 @@ fn run_case(q: &Quality, seed: u64, emulate_fake: bool) -> Vec<f64> {
     let f1 = b.udp_flow(ap, r1, 1024, 10_000_000);
     let f2 = b.udp_flow(ap, r2, 1024, 10_000_000);
     let mut net = b.build();
+    job.instruments.attach(&mut net);
     let m = net.run(q.duration);
     vec![m.goodput_mbps(f1), m.goodput_mbps(f2)]
 }
@@ -38,9 +39,9 @@ pub fn run(ctx: &RunCtx) -> Experiment {
         "Table IX: testbed emulation of fake ACKs (UDP, shared AP, 802.11a, FER 15 %)",
         &["case", "R1(NR)_mbps", "R2(GR)_mbps"],
     );
-    let rows = sweep(ctx, "tab9", &[()], |_, seed| {
-        let mut row = run_case(q, seed, false);
-        row.extend(run_case(q, seed, true));
+    let rows = sweep(ctx, "tab9", &[()], |_, job| {
+        let mut row = run_case(q, job, false);
+        row.extend(run_case(q, job, true));
         row
     });
     let vals = &rows[0];

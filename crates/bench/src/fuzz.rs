@@ -27,7 +27,8 @@ use std::path::{Path, PathBuf};
 
 use greedy80211::checkpoint::run_file_stem;
 use greedy80211::{
-    CcConfig, Checkpoint, GreedyConfig, NavInflationConfig, Run, Scenario, TransportKind,
+    CcConfig, Checkpoint, GreedyConfig, Instruments, NavInflationConfig, Run, Scenario,
+    TransportKind,
 };
 use sim::{RunKey, SimDuration, SimError};
 
@@ -186,28 +187,25 @@ impl FuzzVerdict {
     }
 }
 
-/// Runs `scenario` once under the checker (a capacity-0 recorder feeds
-/// the checker's tap without retaining anything) and returns its report.
+/// Runs `scenario` once under the checker and returns its report.
 fn check_scenario(
     scenario: &Scenario,
     key: &RunKey,
     honor_whitelist: bool,
 ) -> Result<conform::ConformReport, SimError> {
-    let mut job = conform::ConformJob::new(Some(key.clone()));
-    job.honor_whitelist = honor_whitelist;
-    {
-        let rec = obs::ObsSpec {
-            capacity: 0,
-            probe_interval: None,
-            filter: obs::Filter::all(),
-        }
-        .recorder();
-        let _obs_guard = obs::ambient::install(rec);
-        let _cf_guard = conform::ambient::install(job.clone());
-        Run::plan(scenario).keyed(key.clone()).execute()?;
-    }
-    let mut reports = job.drain();
-    Ok(reports.pop().unwrap_or_default().1)
+    let job = conform::ConformJob {
+        honor_whitelist,
+        ..conform::ConformJob::new(Some(key.clone()))
+    };
+    let instruments = Instruments {
+        conform: Some(job.clone()),
+        ..Instruments::default()
+    };
+    Run::plan(scenario)
+        .keyed(key.clone())
+        .instruments(&instruments)
+        .execute()?;
+    Ok(job.drain().pop().unwrap_or_default().1)
 }
 
 /// Bisects the attack-strength scale of a violating greedy case: six
@@ -291,7 +289,7 @@ pub fn run_case_with(
         Some((_, bytes)) => {
             let path = out_dir
                 .join("conform")
-                .join(format!("violation-{}.snap", run_file_stem(&case.key)));
+                .join(format!("violation-{}.snap", run_file_stem(&case.key, 0)));
             let ckpt = Checkpoint::decode(bytes)
                 .map_err(|e| SimError::invalid_config(format!("checkpoint re-decode: {e}")))?;
             ckpt.write(&path).map_err(|e| {

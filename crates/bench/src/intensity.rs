@@ -40,11 +40,11 @@ use greedy80211::Axis;
 use sim::{RunKey, SimDuration};
 
 use crate::roc::{
-    calibration, densify, measure_class, operating_threshold, Cell, ClassSeed, CELLS, CUSUM_ARL0,
-    CUSUM_K, DETECTORS, SPRT_ALPHA, SPRT_BETA,
+    calibration, densify, measure_class_with, operating_threshold, Cell, Class, ClassSeed, CELLS,
+    CUSUM_ARL0, CUSUM_K, DETECTORS, SPRT_ALPHA, SPRT_BETA,
 };
 use crate::table::Experiment;
-use crate::{Quality, RunCtx};
+use crate::{run_jobs, Quality, RunCtx};
 
 /// The default intensity grid: log-ish spacing from 1 % of full attack
 /// strength up to the historical full-strength campaigns.
@@ -206,8 +206,6 @@ impl IntensityCampaign {
     pub fn run_with(&self, ctx: &RunCtx, out_dir: &Path) -> io::Result<IntensityCampaignReport> {
         std::fs::create_dir_all(out_dir)?;
         let q = &ctx.quality;
-        let n_seeds = q.seeds.len();
-        assert!(n_seeds > 0, "at least one seed");
         let window = self.window;
         let grid = &self.grid;
 
@@ -222,46 +220,20 @@ impl IntensityCampaign {
                     .flat_map(move |ii| [false, true].map(|attacked| JobPoint { ci, ii, attacked }))
             })
             .collect();
-        let checkpoint = ctx.checkpoint.as_ref();
-        let jobs: Vec<_> = points
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, point)| {
-                let point = *point;
-                let intensity = grid[point.ii];
-                (0..n_seeds).map(move |si| {
-                    let job_key = RunKey::new("intensity/runs", pi as u64, si as u64);
-                    let sim_key = RunKey::new(
-                        "intensity/pair",
-                        (point.ci * grid.len() + point.ii) as u64,
-                        si as u64,
-                    );
-                    let checkpoint = checkpoint.cloned();
-                    move || {
-                        let _ck_guard = checkpoint.map(|spec| {
-                            greedy80211::checkpoint::ambient::install(spec.job(job_key))
-                        });
-                        measure_class(
-                            &CELLS[point.ci],
-                            q,
-                            window,
-                            sim_key,
-                            intensity,
-                            point.attacked,
-                        )
-                    }
-                })
-            })
-            .collect();
-        let mut flat = ctx.runner.execute_all(jobs).into_iter();
-        let per_point: Vec<Vec<ClassSeed>> = points
-            .iter()
-            .map(|_| {
-                (0..n_seeds)
-                    .map(|_| flat.next().expect("job count"))
-                    .collect()
-            })
-            .collect();
+        let per_point = run_jobs(ctx, "intensity/runs", &points, |point, job| {
+            let sim_key = RunKey::new(
+                "intensity/pair",
+                (point.ci * grid.len() + point.ii) as u64,
+                job.key.seed,
+            );
+            let class = Class {
+                key: sim_key,
+                intensity: grid[point.ii],
+                attacked: point.attacked,
+                instruments: &job.instruments,
+            };
+            measure_class_with(&CELLS[point.ci], q, window, class)
+        });
         let class_seeds = |ci: usize, ii: usize, attacked: bool| -> &Vec<ClassSeed> {
             &per_point[(ci * grid.len() + ii) * 2 + usize::from(attacked)]
         };

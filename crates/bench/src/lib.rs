@@ -37,7 +37,7 @@ pub use gate::{
 pub use intensity::{IntensityCampaign, IntensityCampaignReport, INTENSITY_GRID};
 pub use quality::Quality;
 pub use roc::{RocCampaign, RocCampaignReport};
-pub use sweep::{sweep, sweep_scalar};
+pub use sweep::{run_jobs, sweep, sweep_scalar, Job};
 pub use table::Experiment;
 pub use world::{fig2_check, WorldCampaign, WorldCampaignReport};
 
@@ -87,15 +87,11 @@ impl ObsCampaign {
     }
 }
 
-/// Campaign-wide conformance checking: every sweep job installs a
-/// [`conform::ConformJob`] keyed by its [`RunKey`], the network attaches
-/// a live checker to that run's recorder, and the finished
-/// [`conform::ConformReport`]s accumulate in the shared sink here.
-///
-/// When the run context records nothing, conformance jobs still need a
-/// recorder for the checker to tap; [`sweep()`] installs a zero-capacity
-/// one (the tap sees every event before ring eviction, so capacity does
-/// not affect checking).
+/// Campaign-wide conformance checking: every sweep job's
+/// [`greedy80211::Instruments`] carry a [`conform::ConformJob`] keyed by
+/// its [`RunKey`], each network the job runs arms a live checker, and
+/// the finished [`conform::ConformReport`]s accumulate in the shared
+/// sink here.
 #[derive(Debug, Clone)]
 pub struct ConformCampaign {
     honor_whitelist: bool,
@@ -125,7 +121,7 @@ impl ConformCampaign {
         self
     }
 
-    /// The per-run job a sweep worker installs around one run.
+    /// The conformance job of the sweep job keyed `key`.
     pub fn job(&self, key: RunKey) -> conform::ConformJob {
         conform::ConformJob {
             key: Some(key),

@@ -36,8 +36,8 @@ use detsci::roc::linear_grid;
 use detsci::{auc, AdaptiveConfig, AdaptiveThreshold, Cusum, OperatingPoint, Sprt, SprtVerdict};
 use greedy80211::detect::{GrcSnapshot, GrcTuning, WindowStat, WindowTrack};
 use greedy80211::{
-    Axis, CrossLayerDetector, DominoDetector, FakeAckDetector, GreedySenderPolicy, Run, RunOutcome,
-    Scenario, TransportKind,
+    Axis, CrossLayerDetector, DominoDetector, FakeAckDetector, GreedySenderPolicy, Instruments,
+    Run, RunOutcome, Scenario, TransportKind,
 };
 use net::NetworkBuilder;
 use phy::{PhyParams, Position};
@@ -45,7 +45,7 @@ use sim::{RunKey, SimDuration, SimTime};
 
 use crate::cc::LOSSY_BER;
 use crate::table::Experiment;
-use crate::{Quality, RunCtx};
+use crate::{run_jobs, Quality, RunCtx};
 
 /// One `(detector, traffic mix)` ROC cell.
 #[derive(Debug, Clone, Copy)]
@@ -161,12 +161,12 @@ impl RocCampaign {
         let width_us = window.as_micros();
 
         // Phase 1: every (cell, seed) simulation pair, one parallel batch.
-        let per_cell = collect(&ctx, "roc/cells", CELLS, |cell, key| {
-            measure_cell(cell, &self.quality, window, key)
+        let per_cell = run_jobs(&ctx, "roc/cells", CELLS, |cell, job| {
+            measure_cell(cell, &self.quality, window, job.key.clone())
         });
         // Phase 2: the honest load sweep for adaptive-threshold validation.
-        let per_load = collect(&ctx, "roc/adaptive", ADAPTIVE_LOADS_BPS, |&load, key| {
-            measure_adaptive(load, &self.quality, window, key)
+        let per_load = run_jobs(&ctx, "roc/adaptive", ADAPTIVE_LOADS_BPS, |&load, job| {
+            measure_adaptive(load, &self.quality, window, job.key.clone())
         });
 
         // Phase 3 (sequential, pure arithmetic): threshold sweeps,
@@ -468,44 +468,6 @@ pub struct CellSeed {
     pub greedy_windows: Vec<WindowStat>,
 }
 
-/// Like [`crate::sweep()`], but returns every raw per-seed measurement (no
-/// medians) and hands each job its [`RunKey`] so `Run::plan(..).keyed`
-/// derives the seed from the key alone. Results are regrouped per point
-/// in submission order, so aggregation is independent of `--jobs`.
-///
-/// # Panics
-///
-/// Panics when `ctx.quality.seeds` is empty.
-pub fn collect<P, T, F>(ctx: &RunCtx, label: &str, points: &[P], measure: F) -> Vec<Vec<T>>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P, RunKey) -> T + Sync,
-{
-    let n_seeds = ctx.quality.seeds.len();
-    assert!(n_seeds > 0, "at least one seed");
-    let measure = &measure;
-    let jobs: Vec<_> = points
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, point)| {
-            (0..n_seeds).map(move |si| {
-                let key = RunKey::new(label, pi as u64, si as u64);
-                move || measure(point, key)
-            })
-        })
-        .collect();
-    let mut flat = ctx.runner.execute_all(jobs).into_iter();
-    points
-        .iter()
-        .map(|_| {
-            (0..n_seeds)
-                .map(|_| flat.next().expect("job count"))
-                .collect()
-        })
-        .collect()
-}
-
 /// Which windowed guard a cell reads.
 #[derive(Debug, Clone, Copy)]
 pub enum Guard {
@@ -575,12 +537,38 @@ pub fn measure_class(
     intensity: f64,
     attacked: bool,
 ) -> ClassSeed {
+    let class = Class {
+        key,
+        intensity,
+        attacked,
+        instruments: &Instruments::default(),
+    };
+    measure_class_with(cell, q, window, class)
+}
+
+/// One class of one measurement as a campaign job runs it: the
+/// simulation key, the attack strength, which class, and the job's
+/// instruments.
+pub(crate) struct Class<'a> {
+    pub key: RunKey,
+    pub intensity: f64,
+    pub attacked: bool,
+    pub instruments: &'a Instruments,
+}
+
+/// [`measure_class`] observed by the class's instruments.
+pub(crate) fn measure_class_with(
+    cell: &Cell,
+    q: &Quality,
+    window: SimDuration,
+    class: Class<'_>,
+) -> ClassSeed {
     match cell.detector {
-        "nav" => measure_windowed(cell.mix, q, window, key, Guard::Nav, intensity, attacked),
-        "spoof" => measure_windowed(cell.mix, q, window, key, Guard::Spoof, intensity, attacked),
-        "fake" => measure_fake(q, key, intensity, attacked),
-        "cross" => measure_cross(q, key, intensity, attacked),
-        "domino" => measure_domino(q, key, intensity, attacked),
+        "nav" => measure_windowed(cell.mix, q, window, Guard::Nav, class),
+        "spoof" => measure_windowed(cell.mix, q, window, Guard::Spoof, class),
+        "fake" => measure_fake(q, class),
+        "cross" => measure_cross(q, class),
+        "domino" => measure_domino(q, class),
         other => panic!("unknown detector {other}"),
     }
 }
@@ -635,11 +623,15 @@ fn measure_windowed(
     mix: &str,
     q: &Quality,
     window: SimDuration,
-    key: RunKey,
     guard: Guard,
-    intensity: f64,
-    attacked: bool,
+    class: Class<'_>,
 ) -> ClassSeed {
+    let Class {
+        key,
+        intensity,
+        attacked,
+        instruments,
+    } = class;
     // The spoof cell needs a lossy channel: ACK forgery only has frames
     // to lie about when some are actually lost (same rate as `repro
     // --cc`'s spoof cells, both classes so labels differ only by attack).
@@ -662,7 +654,11 @@ fn measure_windowed(
         };
         s.greedy = vec![(1, cfg)];
     }
-    let run = Run::plan(&s).keyed(key).execute().expect("valid scenario");
+    let run = Run::plan(&s)
+        .keyed(key)
+        .instruments(instruments)
+        .execute()
+        .expect("valid scenario");
     let windows = guard_windows(&run, guard);
     ClassSeed {
         stats: windows.iter().map(|w| w.peak).collect(),
@@ -707,7 +703,13 @@ fn fake_stat(out: &RunOutcome, i: usize) -> Option<f64> {
     Some(probe - d.expected_round_trip_loss(mac_loss))
 }
 
-fn measure_fake(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> ClassSeed {
+fn measure_fake(q: &Quality, class: Class<'_>) -> ClassSeed {
+    let Class {
+        key,
+        intensity,
+        attacked,
+        instruments,
+    } = class;
     let mut s = fake_scenario(q);
     if attacked {
         s.greedy = vec![(
@@ -717,7 +719,11 @@ fn measure_fake(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> Cla
                 .expect("receiver axis"),
         )];
     }
-    let run = Run::plan(&s).keyed(key).execute().expect("valid scenario");
+    let run = Run::plan(&s)
+        .keyed(key)
+        .instruments(instruments)
+        .execute()
+        .expect("valid scenario");
     ClassSeed {
         stats: if attacked {
             fake_stat(&run, 1).into_iter().collect()
@@ -748,7 +754,13 @@ fn cross_stat(out: &RunOutcome, i: usize) -> f64 {
     }
 }
 
-fn measure_cross(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> ClassSeed {
+fn measure_cross(q: &Quality, class: Class<'_>) -> ClassSeed {
+    let Class {
+        key,
+        intensity,
+        attacked,
+        instruments,
+    } = class;
     let mut s = cross_scenario(q);
     if attacked {
         let victim = s.build().expect("valid scenario").receivers[0];
@@ -759,7 +771,11 @@ fn measure_cross(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> Cl
                 .expect("receiver axis"),
         )];
     }
-    let run = Run::plan(&s).keyed(key).execute().expect("valid scenario");
+    let run = Run::plan(&s)
+        .keyed(key)
+        .instruments(instruments)
+        .execute()
+        .expect("valid scenario");
     ClassSeed {
         stats: if attacked {
             // The victim is pair 0's flow — its sender receives the
@@ -778,7 +794,12 @@ fn measure_cross(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> Cl
 /// larger means greedier. Senders the detector never judged are absent.
 /// `greedy_fraction` is the cheater's contention-window fraction
 /// (`None` = honest backoff).
-fn domino_deficits(q: &Quality, seed: u64, greedy_fraction: Option<f64>) -> Vec<(bool, f64)> {
+fn domino_deficits(
+    q: &Quality,
+    seed: u64,
+    greedy_fraction: Option<f64>,
+    instruments: &Instruments,
+) -> Vec<(bool, f64)> {
     let params = PhyParams::dot11b();
     let greedy_sender = greedy_fraction.is_some();
     let mut b = NetworkBuilder::new(params).seed(seed);
@@ -794,6 +815,7 @@ fn domino_deficits(q: &Quality, seed: u64, greedy_fraction: Option<f64>) -> Vec<
     b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
     net.enable_trace(2_000_000);
+    instruments.attach(&mut net);
     net.run(q.duration);
     let report = DominoDetector::new(params).analyze(&net.trace().expect("trace enabled"));
     let nominal = params.cw_min as f64 / 2.0;
@@ -808,17 +830,18 @@ fn domino_deficits(q: &Quality, seed: u64, greedy_fraction: Option<f64>) -> Vec<
         .collect()
 }
 
-fn measure_domino(q: &Quality, key: RunKey, intensity: f64, attacked: bool) -> ClassSeed {
-    let seed = key.stream_seed();
+fn measure_domino(q: &Quality, class: Class<'_>) -> ClassSeed {
+    let seed = class.key.stream_seed();
     ClassSeed {
-        stats: if attacked {
-            domino_deficits(q, seed, Some(Axis::BackoffCheat.knob_at(intensity)))
+        stats: if class.attacked {
+            let fraction = Axis::BackoffCheat.knob_at(class.intensity);
+            domino_deficits(q, seed, Some(fraction), class.instruments)
                 .into_iter()
                 .filter(|(g, _)| *g)
                 .map(|(_, d)| d)
                 .collect()
         } else {
-            domino_deficits(q, seed, None)
+            domino_deficits(q, seed, None, class.instruments)
                 .into_iter()
                 .map(|(_, d)| d)
                 .collect()

@@ -242,8 +242,13 @@ pub fn fig2_world(ctx: &RunCtx) -> Experiment {
         "Fig. 2 via 1×1 worlds: average contention window of GS and NS vs CTS-NAV inflation",
         &["inflate_us", "NS_avg_cw", "GS_avg_cw"],
     );
-    let rows = sweep(ctx, "fig2", UDP_NAV_SWEEP_US, |&inflate, seed| {
-        let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), q, seed);
+    let rows = sweep(ctx, "fig2", UDP_NAV_SWEEP_US, |&inflate, job| {
+        let s = nav_two_pair(
+            true,
+            NavInflationConfig::cts_only(inflate, 1.0),
+            q,
+            job.seed,
+        );
         let mut spec = WorldSpec::grid(s, 1, 1);
         spec.greedy_cells = 1; // the lone cell keeps the greedy receiver
         let world = Run::world(&spec).execute().expect("valid world");
@@ -321,8 +326,13 @@ mod tests {
         let ctx = RunCtx::sequential(tiny_quality());
         let q = tiny_quality();
         let points: &[u32] = &[0, 10_000];
-        let direct = sweep(&ctx, "fig2", points, |&inflate, seed| {
-            let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), &q, seed);
+        let direct = sweep(&ctx, "fig2", points, |&inflate, job| {
+            let s = nav_two_pair(
+                true,
+                NavInflationConfig::cts_only(inflate, 1.0),
+                &q,
+                job.seed,
+            );
             let out = Run::plan(&s).execute().expect("valid scenario");
             vec![
                 out.goodput_mbps(0),
@@ -330,8 +340,13 @@ mod tests {
                 out.metrics.events_processed as f64,
             ]
         });
-        let world = sweep(&ctx, "fig2", points, |&inflate, seed| {
-            let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), &q, seed);
+        let world = sweep(&ctx, "fig2", points, |&inflate, job| {
+            let s = nav_two_pair(
+                true,
+                NavInflationConfig::cts_only(inflate, 1.0),
+                &q,
+                job.seed,
+            );
             let mut spec = WorldSpec::grid(s, 1, 1);
             spec.greedy_cells = 1;
             let w = Run::world(&spec).execute().expect("valid world");

@@ -6,9 +6,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gr_bench::{registry, Quality, RunCtx};
-use greedy80211::{CampaignSpec, CcConfig, Checkpoint, Run, RunOutcome, Scenario};
-use sim::SimDuration;
+use gr_bench::{registry, run_jobs, Quality, RunCtx};
+use greedy80211::{
+    CampaignSpec, CcConfig, Checkpoint, GreedyConfig, NavInflationConfig, Run, RunOutcome, Scenario,
+};
+use sim::{SimDuration, SimError};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("gr-ckpt-resume").join(name);
@@ -50,7 +52,7 @@ fn recorded_campaigns_resume_to_byte_identical_csvs() {
         // only the tail, sequentially and across 8 workers.
         for jobs in [1usize, 8] {
             let resume = RunCtx::with_jobs(Quality::quick(), jobs)
-                .with_checkpoints(CampaignSpec::resume_from(&camp));
+                .with_checkpoints(CampaignSpec::resume_from(&camp).expect("recorded campaign"));
             let out = csv_for(id, &resume, &dir.join(format!("jobs{jobs}")));
             assert_eq!(out, gold, "{id}: resumed CSV differs at jobs={jobs}");
         }
@@ -130,4 +132,90 @@ fn cubic_and_bbr_resume_mid_recovery_to_byte_identical_outcomes() {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// `repro run --resume DIR` on a directory that does not exist refuses
+/// to run (it would silently rerun everything) and names the directory.
+#[test]
+fn resume_from_a_missing_directory_fails_naming_it() {
+    let dir = tmp("missing-dir");
+    let missing = dir.join("no-such-campaign");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["run", "--quick", "--resume"])
+        .arg(&missing)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .arg("fig2")
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "resume from nowhere succeeded");
+    assert!(
+        stderr.contains(&missing.display().to_string()),
+        "error does not name the directory: {stderr}"
+    );
+    assert!(
+        !dir.join("out").join("fig2.csv").exists(),
+        "fig2 ran anyway"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A job that runs two simulations checkpoints each under its own run
+/// number, and a resume restores both from their own files; replaying
+/// the runs in the other order is refused, not silently rerun.
+#[test]
+fn every_run_of_a_multi_run_job_resumes_from_its_own_checkpoint() {
+    let dir = tmp("two-run-job");
+    let quality = Quality {
+        duration: SimDuration::from_millis(600),
+        ..Quality::quick()
+    };
+    let honest = Scenario {
+        duration: quality.duration,
+        ..Scenario::default()
+    };
+    let greedy = Scenario {
+        greedy: vec![(
+            1,
+            GreedyConfig::nav_inflation(NavInflationConfig::cts_only(10_000, 1.0)),
+        )],
+        ..honest.clone()
+    };
+    let job_of = |spec: CampaignSpec, order: [&Scenario; 2]| {
+        let ctx = RunCtx::with_jobs(quality.clone(), 1).with_checkpoints(spec);
+        run_jobs(&ctx, "twice", &[()], |_, job| {
+            order
+                .map(|s| {
+                    job.plan(s)
+                        .seeded(job.seed)
+                        .execute()
+                        .map(|o| (o.metrics.events_processed, outcome_csv(&o)))
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, SimError>>()
+        })
+        .remove(0)
+        .remove(0)
+    };
+    let record = CampaignSpec::record(&dir, Some(SimDuration::from_millis(200)), None);
+    let gold = job_of(record, [&honest, &greedy]).expect("recorded job runs");
+    for stem in ["twice-p0000-s0000", "twice-p0000-s0000-r1"] {
+        assert!(
+            dir.join("checkpoints")
+                .join(format!("{stem}.snap"))
+                .exists(),
+            "no checkpoint {stem}"
+        );
+    }
+
+    let resume = CampaignSpec::resume_from(&dir).expect("recorded campaign");
+    let resumed = job_of(resume.clone(), [&honest, &greedy]).expect("resumed job runs");
+    assert_eq!(resumed, gold, "resumed runs diverged");
+    assert_eq!(resume.resume_tally(), (2, 2), "both runs restored");
+
+    let swapped = CampaignSpec::resume_from(&dir).expect("recorded campaign");
+    let err = job_of(swapped, [&greedy, &honest]).expect_err("swapped runs resumed");
+    assert!(err.to_string().contains("different scenario"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -3,26 +3,31 @@
 //! the planted-fault drill proving the checker catches and the fuzzer
 //! shrinks a genuine MAC bug.
 
+use std::sync::Mutex;
+
 use gr_bench::fuzz;
 #[cfg(not(feature = "inject-nav-bug"))]
-use greedy80211::Run;
+use gr_bench::{registry, ConformCampaign, Quality, RunCtx};
 use greedy80211::{GreedyConfig, NavInflationConfig, Scenario};
+#[cfg(not(feature = "inject-nav-bug"))]
+use greedy80211::{Instruments, Run};
 use sim::{RunKey, SimDuration};
+
+/// Serializes this file's tests: one of them reads the process-wide
+/// run counter, which concurrent simulations would inflate.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Runs `scenario` once under the checker and returns its report.
 #[cfg(not(feature = "inject-nav-bug"))]
 fn check_run(scenario: &Scenario, job: conform::ConformJob) -> conform::ConformReport {
-    {
-        let rec = obs::ObsSpec {
-            capacity: 0,
-            probe_interval: None,
-            filter: obs::Filter::all(),
-        }
-        .recorder();
-        let _obs_guard = obs::ambient::install(rec);
-        let _cf_guard = conform::ambient::install(job.clone());
-        Run::plan(scenario).execute().expect("scenario runs");
-    }
+    let instruments = Instruments {
+        conform: Some(job.clone()),
+        ..Instruments::default()
+    };
+    Run::plan(scenario)
+        .instruments(&instruments)
+        .execute()
+        .expect("scenario runs");
     let mut reports = job.drain();
     assert_eq!(reports.len(), 1, "exactly one checked run");
     reports.pop().unwrap().1
@@ -51,6 +56,7 @@ fn nav_drill_scenario() -> Scenario {
 #[cfg(not(feature = "inject-nav-bug"))]
 #[test]
 fn greedy_run_is_clean_only_via_the_whitelist() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = nav_drill_scenario();
     let honored = check_run(&scenario, conform::ConformJob::new(None));
     assert!(
@@ -81,6 +87,7 @@ fn greedy_run_is_clean_only_via_the_whitelist() {
 #[cfg(not(feature = "inject-nav-bug"))]
 #[test]
 fn honest_run_is_clean_without_any_whitelist() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let scenario = Scenario {
         duration: SimDuration::from_millis(300),
         ..Scenario::default()
@@ -106,6 +113,7 @@ fn honest_run_is_clean_without_any_whitelist() {
 #[cfg(feature = "inject-nav-bug")]
 #[test]
 fn planted_nav_bug_is_caught_and_shrunk() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let case = fuzz::FuzzCase {
         key: RunKey::new("navbug", 0, 0),
         scenario: nav_drill_scenario(),
@@ -149,6 +157,7 @@ fn planted_nav_bug_is_caught_and_shrunk() {
 #[cfg(not(feature = "inject-nav-bug"))]
 #[test]
 fn nav_bug_drill_scenario_is_clean_without_injection() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let case = fuzz::FuzzCase {
         key: RunKey::new("navbug", 0, 0),
         scenario: nav_drill_scenario(),
@@ -157,4 +166,37 @@ fn nav_bug_drill_scenario_is_clean_without_injection() {
     let dir = std::env::temp_dir().join("gr-navbug-test");
     let v = fuzz::run_case(case, &dir).expect("case runs");
     assert!(v.is_clean(), "violations: {:?}", v.violations);
+}
+
+/// Experiments that build their networks with `NetworkBuilder` directly
+/// (no `Scenario`) take their instruments from the sweep job like every
+/// other experiment: under a conformance campaign each simulation they
+/// run deposits exactly one report, and checking changes no CSV byte.
+/// tab4 shares fig18's hidden-terminal builder.
+#[cfg(not(feature = "inject-nav-bug"))]
+#[test]
+fn builder_direct_experiments_are_checked_once_per_simulation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let registry = registry();
+    for id in [
+        "abl1", "abl3", "ext1", "ext2", "fig18", "fig23", "tab4", "tab8", "tab9",
+    ] {
+        let (_, generate) = registry
+            .iter()
+            .find(|(rid, _)| *rid == id)
+            .expect("id in registry");
+        let plain = generate(&RunCtx::with_jobs(Quality::quick(), 2)).csv();
+        let camp = ConformCampaign::new();
+        let before = net::stats::snapshot();
+        let checked =
+            generate(&RunCtx::with_jobs(Quality::quick(), 2).with_conform(camp.clone())).csv();
+        let runs = net::stats::snapshot().since(before).runs_completed;
+        assert_eq!(checked, plain, "{id}: checking changed the CSV");
+        assert!(runs > 0, "{id}: ran no simulation");
+        assert_eq!(
+            camp.take_reports().len() as u64,
+            runs,
+            "{id}: one conformance report per simulation"
+        );
+    }
 }

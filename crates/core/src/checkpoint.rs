@@ -8,27 +8,37 @@
 //! Containers carry the `gr-snap` header, so version drift is caught at
 //! decode time rather than as silent corruption.
 //!
-//! Campaigns enable checkpointing the same way they enable flight
-//! recording: [`sweep`] installs a per-job [`JobSpec`] into this
-//! module's thread-[`ambient`] slot, and [`Run::execute`] picks it up
-//! without any experiment-signature changes. In record mode each run
-//! writes its newest checkpoint to `<dir>/checkpoints/<run>.snap` and
-//! its audit ladder to `<dir>/audit/<run>.audit`; in resume mode a run
-//! whose checkpoint file exists restores it and simulates only the tail
-//! — producing bit-identical metrics, and therefore byte-identical CSV
-//! output, at any `--jobs` width.
+//! Campaigns checkpoint through the same explicit value that carries
+//! recording and conformance: [`sweep`] binds the campaign's
+//! [`CampaignSpec`] to each job's [`RunKey`] as a [`JobSpec`] in the
+//! job's [`Instruments`], and [`Run::execute`] uses it. A job numbers
+//! the runs it executes; run `n` of the job keyed `key` owns the files
+//! named by [`run_file_stem`]`(key, n)`. In record mode each run writes
+//! its newest checkpoint to `<dir>/checkpoints/<run>.snap` and its
+//! audit ladder to `<dir>/audit/<run>.audit`; in resume mode a run whose
+//! checkpoint file exists restores it and simulates only the tail —
+//! producing bit-identical metrics, and therefore byte-identical CSV
+//! output, at any `--jobs` width. A missing file reruns from the start
+//! and is counted ([`CampaignSpec::resume_tally`]); a file frozen under
+//! a different scenario is an error.
 //!
 //! [`sweep`]: ../../gr_bench/fn.sweep.html
 //! [`Run::execute`]: crate::Run::execute
+//! [`Instruments`]: crate::Instruments
 
+use std::cell::Cell;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use net::{RunArtifacts, RunHooks};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapValue as _;
 
+use crate::run::Instruments;
 use crate::scenario::{Scenario, ScenarioOutcome};
 
 /// One run frozen at a virtual-time barrier, ready to write to disk and
@@ -39,9 +49,7 @@ pub struct Checkpoint {
     pub key: RunKey,
     /// Virtual time of the barrier the state was captured at.
     pub at: SimTime,
-    /// The scenario, seed already stamped, that built the network. Its
-    /// `record` field is not round-tripped (observability is the
-    /// resuming process's own choice).
+    /// The scenario, seed already stamped, that built the network.
     pub scenario: Scenario,
     /// The network's canonical state encoding at `at`.
     pub net_state: Vec<u8>,
@@ -103,24 +111,32 @@ impl Checkpoint {
         })
     }
 
-    /// Rebuilds the scenario's network, restores the frozen state and
-    /// simulates the remaining virtual time under `hooks`.
+    /// Rebuilds the scenario's network, wires `instruments` into it,
+    /// restores the frozen state and simulates the remaining virtual
+    /// time under `hooks`. A conformance checker armed this way sees a
+    /// mid-run stream: whole-run rules are disarmed.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] when the embedded scenario is
     /// malformed or the state blob does not match its topology.
-    pub fn resume(&self, hooks: RunHooks) -> Result<(ScenarioOutcome, RunArtifacts), SimError> {
-        let built = self.scenario.build()?;
+    pub fn resume(
+        &self,
+        hooks: RunHooks,
+        instruments: &Instruments,
+    ) -> Result<(ScenarioOutcome, RunArtifacts), SimError> {
+        let mut built = self.scenario.build()?;
+        instruments.attach(&mut built.net);
         built
             .resume_hooked(&self.net_state, self.at, hooks)
             .map_err(|e| SimError::invalid_config(format!("checkpoint state rejected: {e}")))
     }
 }
 
-/// Filesystem-safe stem naming one run within a campaign, e.g.
-/// `fig6-p0003-s0001` (sweep labels may contain `/`).
-pub fn run_file_stem(key: &RunKey) -> String {
+/// Filesystem-safe stem naming run `run` of the job keyed `key`, e.g.
+/// `fig6-p0003-s0001` (sweep labels may contain `/`). A job's first run
+/// owns the bare job stem; later runs append `-r<n>`.
+pub fn run_file_stem(key: &RunKey, run: u32) -> String {
     let label: String = key
         .experiment
         .chars()
@@ -132,7 +148,11 @@ pub fn run_file_stem(key: &RunKey) -> String {
             }
         })
         .collect();
-    format!("{label}-p{:04}-s{:04}", key.point, key.seed)
+    let stem = format!("{label}-p{:04}-s{:04}", key.point, key.seed);
+    match run {
+        0 => stem,
+        n => format!("{stem}-r{n}"),
+    }
 }
 
 /// Campaign-wide checkpoint/audit configuration, shared by every job of
@@ -150,6 +170,8 @@ pub struct CampaignSpec {
     /// checkpoint file and, when present, restores it and simulates only
     /// the tail.
     pub resume: bool,
+    /// Resume-mode counts across every worker: `[runs, resumed]`.
+    tally: Arc<[AtomicUsize; 2]>,
 }
 
 impl CampaignSpec {
@@ -165,52 +187,103 @@ impl CampaignSpec {
             audit_every,
             dir: dir.into(),
             resume: false,
+            tally: Arc::default(),
         }
     }
 
     /// A resume spec reading checkpoints previously recorded under
     /// `dir`.
-    pub fn resume_from(dir: impl Into<PathBuf>) -> Self {
-        CampaignSpec {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming `dir` when it does not exist
+    /// or holds no `checkpoints/` directory — a resume that could only
+    /// rerun everything from scratch is refused rather than run.
+    pub fn resume_from(dir: impl Into<PathBuf>) -> Result<Self, SimError> {
+        let dir = dir.into();
+        if !dir.is_dir() {
+            return Err(SimError::invalid_config(format!(
+                "resume directory {} does not exist",
+                dir.display()
+            )));
+        }
+        if !dir.join("checkpoints").is_dir() {
+            return Err(SimError::invalid_config(format!(
+                "resume directory {} holds no checkpoints/ directory",
+                dir.display()
+            )));
+        }
+        Ok(CampaignSpec {
             every: None,
             audit_every: None,
-            dir: dir.into(),
+            dir,
             resume: true,
-        }
+            tally: Arc::default(),
+        })
     }
 
-    /// The checkpoint file for `key` under this spec's root.
-    pub fn checkpoint_path(&self, key: &RunKey) -> PathBuf {
+    /// The checkpoint file of run `run` of the job keyed `key`.
+    pub fn checkpoint_path(&self, key: &RunKey, run: u32) -> PathBuf {
         self.dir
             .join("checkpoints")
-            .join(format!("{}.snap", run_file_stem(key)))
+            .join(format!("{}.snap", run_file_stem(key, run)))
     }
 
-    /// The audit-ladder file for `key` under this spec's root.
-    pub fn audit_path(&self, key: &RunKey) -> PathBuf {
+    /// The audit-ladder file of run `run` of the job keyed `key`.
+    pub fn audit_path(&self, key: &RunKey, run: u32) -> PathBuf {
         self.dir
             .join("audit")
-            .join(format!("{}.audit", run_file_stem(key)))
+            .join(format!("{}.audit", run_file_stem(key, run)))
     }
 
-    /// Binds this campaign spec to one job's [`RunKey`], ready for
-    /// [`ambient::install`].
+    /// Binds this campaign spec to one job's [`RunKey`], ready to ride
+    /// the job's [`Instruments`].
     pub fn job(&self, key: RunKey) -> JobSpec {
         JobSpec {
             key,
             spec: self.clone(),
+            runs: Rc::default(),
+        }
+    }
+
+    /// In resume mode, `(resumed, runs)`: how many runs restored their
+    /// own checkpoint, out of how many executed under this spec so far.
+    pub fn resume_tally(&self) -> (usize, usize) {
+        let [runs, resumed] = &*self.tally;
+        (
+            resumed.load(Ordering::Relaxed),
+            runs.load(Ordering::Relaxed),
+        )
+    }
+
+    pub(crate) fn count_resume(&self, resumed: bool) {
+        let [runs, hits] = &*self.tally;
+        runs.fetch_add(1, Ordering::Relaxed);
+        if resumed {
+            hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// One job's checkpoint binding: the campaign spec plus the job's key
-/// (which names the artifact files).
+/// (which names the artifact files), numbering the runs the job
+/// executes in program order.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The key of the run currently executing on this thread.
+    /// The key of the job.
     pub key: RunKey,
     /// The campaign-wide configuration.
     pub spec: CampaignSpec,
+    runs: Rc<Cell<u32>>,
+}
+
+impl JobSpec {
+    /// Claims the next run number of this job (0 for its first run).
+    pub fn next_run(&self) -> u32 {
+        let n = self.runs.get();
+        self.runs.set(n + 1);
+        n
+    }
 }
 
 /// Converts raw run artifacts into an audit [`Ladder`](snap::audit::Ladder).
@@ -220,45 +293,6 @@ pub fn ladder_from_artifacts(artifacts: &RunArtifacts) -> snap::audit::Ladder {
         ladder.push(vt_ns, layer, digest);
     }
     ladder
-}
-
-/// Per-thread ambient checkpoint spec, mirroring `obs::ambient`: the
-/// sweep machinery installs a [`JobSpec`] around each job so
-/// [`Run::execute`](crate::Run::execute) checkpoints (or resumes)
-/// without any experiment-signature changes.
-pub mod ambient {
-    use std::cell::RefCell;
-
-    use super::JobSpec;
-
-    thread_local! {
-        static CURRENT: RefCell<Option<JobSpec>> = const { RefCell::new(None) };
-    }
-
-    /// Restores the previously installed spec when dropped.
-    #[derive(Debug)]
-    pub struct AmbientGuard {
-        prev: Option<JobSpec>,
-    }
-
-    impl Drop for AmbientGuard {
-        fn drop(&mut self) {
-            CURRENT.with(|slot| *slot.borrow_mut() = self.prev.take());
-        }
-    }
-
-    /// Installs `job` as this thread's ambient checkpoint spec until the
-    /// returned guard drops.
-    #[must_use = "the spec is uninstalled when the guard drops"]
-    pub fn install(job: JobSpec) -> AmbientGuard {
-        let prev = CURRENT.with(|slot| slot.borrow_mut().replace(job));
-        AmbientGuard { prev }
-    }
-
-    /// The currently installed ambient spec, if any.
-    pub fn current() -> Option<JobSpec> {
-        CURRENT.with(|slot| slot.borrow().clone())
-    }
 }
 
 #[cfg(test)]
@@ -321,21 +355,30 @@ mod tests {
 
     #[test]
     fn file_stems_are_filesystem_safe_and_distinct() {
-        let a = run_file_stem(&RunKey::new("abl1/cs", 2, 7));
+        let a = run_file_stem(&RunKey::new("abl1/cs", 2, 7), 0);
         assert_eq!(a, "abl1_cs-p0002-s0007");
-        let b = run_file_stem(&RunKey::new("abl1_cs", 2, 7));
+        let b = run_file_stem(&RunKey::new("abl1_cs", 2, 7), 0);
         assert_eq!(a, b, "sanitization maps / to _");
-        assert_ne!(a, run_file_stem(&RunKey::new("abl1/cs", 2, 8)));
+        assert_ne!(a, run_file_stem(&RunKey::new("abl1/cs", 2, 8), 0));
+        assert_eq!(
+            run_file_stem(&RunKey::new("abl1/cs", 2, 7), 1),
+            "abl1_cs-p0002-s0007-r1"
+        );
     }
 
     #[test]
-    fn ambient_spec_is_scoped() {
-        assert!(ambient::current().is_none());
+    fn jobs_number_their_runs() {
         let spec = CampaignSpec::record("results", Some(SimDuration::from_millis(50)), None);
-        {
-            let _g = ambient::install(spec.job(RunKey::new("t", 0, 0)));
-            assert_eq!(ambient::current().unwrap().key, RunKey::new("t", 0, 0));
-        }
-        assert!(ambient::current().is_none());
+        let job = spec.job(RunKey::new("t", 0, 0));
+        let shared = job.clone();
+        assert_eq!(job.next_run(), 0);
+        assert_eq!(shared.next_run(), 1, "clones count the same job");
+        assert_eq!(spec.job(RunKey::new("t", 0, 0)).next_run(), 0);
+    }
+
+    #[test]
+    fn resume_from_refuses_a_missing_directory() {
+        let err = CampaignSpec::resume_from("/nonexistent/campaign").unwrap_err();
+        assert!(err.to_string().contains("/nonexistent/campaign"), "{err}");
     }
 }

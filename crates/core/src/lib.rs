@@ -69,7 +69,7 @@ pub use misbehavior::{
 };
 pub use model::{nav_inflation_model, SendProbabilities};
 pub use rssi_study::{RssiStudy, RssiStudyConfig};
-pub use run::Run;
+pub use run::{Instruments, Run};
 pub use runplan::{RunOutcome, RunPlan};
 pub use scenario::{BuiltScenario, Scenario, ScenarioOutcome, TransportKind};
 pub use transport::{CcAlgorithm, CcConfig};

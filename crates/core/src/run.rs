@@ -5,8 +5,9 @@
 //! `runplan::execute`) have been removed. It also fronts the checkpoint
 //! & audit subsystem: [`Run::checkpoint_every`] /[`Run::audit_every`]
 //! arm virtual-time barriers, [`Run::resume`] continues a run from a
-//! checkpoint file, and campaign sweeps arm the same hooks ambiently
-//! through [`crate::checkpoint::ambient`].
+//! checkpoint file, and campaign sweeps hand each run its
+//! [`Instruments`] — recorder, conformance job, checkpoint binding —
+//! with one [`Run::instruments`] call.
 //!
 //! ```
 //! use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
@@ -36,16 +37,49 @@
 
 use std::path::Path;
 
-use net::RunHooks;
+use net::{Network, RunHooks};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapValue as _;
 
-use crate::checkpoint::{self, Checkpoint};
+use crate::checkpoint::{self, Checkpoint, JobSpec};
 use crate::runplan::RunOutcome;
 use crate::scenario::{Scenario, ScenarioOutcome};
 
+/// Everything that observes a run without changing it: a flight
+/// recorder, a conformance job and a campaign checkpoint binding. The
+/// default observes nothing.
+///
+/// One value serves every run of a campaign job: the runs share the
+/// recorder (the campaign drains it once the job returns), each deposits
+/// its own conformance report, and the checkpoint binding numbers them.
+/// Builder-direct networks take the same value through
+/// [`Instruments::attach`].
+#[derive(Debug, Clone, Default)]
+pub struct Instruments {
+    /// Flight recorder every run records into.
+    pub record: Option<::obs::RecorderHandle>,
+    /// Conformance job each run is checked under.
+    pub conform: Option<::conform::ConformJob>,
+    /// Campaign checkpoint/audit binding (record or resume).
+    pub checkpoint: Option<JobSpec>,
+}
+
+impl Instruments {
+    /// Wires the recorder, then the conformance checker, into a freshly
+    /// built network. Neither touches the scheduler or any RNG stream,
+    /// so the run's outcome is identical with or without them.
+    pub fn attach(&self, net: &mut Network) {
+        if let Some(rec) = &self.record {
+            net.set_recorder(rec.clone());
+        }
+        if let Some(job) = &self.conform {
+            net.arm_conform(job.clone());
+        }
+    }
+}
+
 /// A planned simulation run: scenario plus seeding policy, plus any
-/// checkpoint/audit barriers to arm.
+/// checkpoint/audit barriers and instruments to arm.
 ///
 /// Build one with [`Run::plan`], pick a seed with [`Run::seeded`] or
 /// [`Run::keyed`] (the last call wins), optionally arm hooks, then
@@ -54,9 +88,8 @@ use crate::scenario::{Scenario, ScenarioOutcome};
 pub struct Run {
     scenario: Scenario,
     key: Option<RunKey>,
-    checkpoint_every: Option<SimDuration>,
-    audit_every: Option<SimDuration>,
-    perturb_rng_at: Option<SimTime>,
+    hooks: RunHooks,
+    instruments: Instruments,
 }
 
 impl Run {
@@ -65,9 +98,8 @@ impl Run {
         Run {
             scenario: scenario.clone(),
             key: None,
-            checkpoint_every: None,
-            audit_every: None,
-            perturb_rng_at: None,
+            hooks: RunHooks::default(),
+            instruments: Instruments::default(),
         }
     }
 
@@ -89,7 +121,7 @@ impl Run {
     /// multiple of `interval` (virtual time). The containers land in
     /// [`RunOutcome::checkpoints`].
     pub fn checkpoint_every(mut self, interval: SimDuration) -> Self {
-        self.checkpoint_every = Some(interval);
+        self.hooks.checkpoint_every = Some(interval);
         self
     }
 
@@ -97,7 +129,7 @@ impl Run {
     /// every multiple of `interval`. The ladder lands in
     /// [`RunOutcome::audit`].
     pub fn audit_every(mut self, interval: SimDuration) -> Self {
-        self.audit_every = Some(interval);
+        self.hooks.audit_every = Some(interval);
         self
     }
 
@@ -105,31 +137,41 @@ impl Run {
     /// after `at` dispatches — a controlled divergence for exercising
     /// the audit ladder and [`crate::audit::pinpoint`].
     pub fn perturb_rng_at(mut self, at: SimTime) -> Self {
-        self.perturb_rng_at = Some(at);
+        self.hooks.perturb_rng_at = Some(at);
+        self
+    }
+
+    /// Observes the run with `instruments`: record into their recorder,
+    /// check under their conformance job, and checkpoint (or resume)
+    /// under their campaign binding.
+    pub fn instruments(mut self, instruments: &Instruments) -> Self {
+        self.instruments = instruments.clone();
         self
     }
 
     /// Builds the network, simulates to completion, and snapshots the
     /// result into a plain-data [`RunOutcome`].
     ///
-    /// When a campaign installed an ambient
-    /// [`checkpoint::JobSpec`](crate::checkpoint::JobSpec) for this
-    /// thread, the run additionally records its checkpoint and audit
-    /// files under the campaign's artifact root — or, in resume mode,
-    /// restores its own checkpoint and simulates only the tail.
+    /// Under a campaign checkpoint binding the run claims the job's next
+    /// run number and records its checkpoint and audit files under the
+    /// campaign's artifact root — or, in resume mode, restores its own
+    /// checkpoint and simulates only the tail. A missing checkpoint file
+    /// reruns from the start (the campaign counts it).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the scenario is malformed
-    /// (zero pairs, out-of-range indices, invalid error rates) or a
-    /// resumed checkpoint does not match the planned scenario.
+    /// (zero pairs, out-of-range indices, invalid error rates), if the
+    /// run has both explicit hook intervals and a campaign checkpoint
+    /// binding, if a checkpoint or audit file cannot be written, or if
+    /// a resumed checkpoint is unreadable or was frozen under a
+    /// different scenario.
     pub fn execute(self) -> Result<RunOutcome, SimError> {
         let Run {
             mut scenario,
             key,
-            checkpoint_every,
-            audit_every,
-            perturb_rng_at,
+            hooks,
+            instruments,
         } = self;
         let key = match key {
             Some(k) => {
@@ -140,79 +182,51 @@ impl Run {
             // the label marks them as outside any sweep.
             None => RunKey::new("adhoc", 0, scenario.seed),
         };
-        // Drain the recorder into the outcome only when this scenario
-        // asked for recording itself. A recorder inherited from the
-        // ambient campaign spec belongs to the campaign: its report is
-        // drained into the campaign sink after the measure closure
-        // returns, and draining it here would leave that empty.
-        let explicit_record = scenario.record.is_some();
-        let ambient = checkpoint::ambient::current();
-        let explicit_hooks =
-            checkpoint_every.is_some() || audit_every.is_some() || perturb_rng_at.is_some();
+        let job = instruments.checkpoint.as_ref().map(|j| (j, j.next_run()));
+        if job.is_some() && hooks != RunHooks::default() {
+            return Err(SimError::invalid_config(
+                "a run cannot take both explicit hooks and a campaign checkpoint spec",
+            ));
+        }
 
-        // Campaign resume: restore this run's own checkpoint, if one was
-        // recorded, and simulate only the remaining virtual time. A
-        // missing file, or one frozen under a different scenario (a job
-        // that executes several runs records only its last), just means
-        // "no checkpoint for this run" — fall through and run it from
-        // the start; either way the outcome is identical.
-        if let Some(job) = ambient
-            .as_ref()
-            .filter(|j| j.spec.resume && !explicit_hooks)
-        {
-            let path = job.spec.checkpoint_path(&job.key);
-            if path.exists() {
+        if let Some((job, run_no)) = job.filter(|(j, _)| j.spec.resume) {
+            let path = job.spec.checkpoint_path(&job.key, run_no);
+            let resumed = path.exists();
+            job.spec.count_resume(resumed);
+            if resumed {
                 let ckpt = Checkpoint::read(&path)?;
                 let mut planned = snap::Enc::new();
                 scenario.save(&mut planned);
                 let mut frozen = snap::Enc::new();
                 ckpt.scenario.save(&mut frozen);
-                if planned.bytes() == frozen.bytes() {
-                    let (outcome, _) = ckpt.resume(RunHooks::default())?;
-                    return Ok(package(
-                        key,
-                        outcome,
-                        explicit_record,
-                        Vec::new(),
-                        &scenario,
-                    ));
+                if planned.bytes() != frozen.bytes() {
+                    return Err(SimError::invalid_config(format!(
+                        "checkpoint {} was frozen under a different scenario",
+                        path.display()
+                    )));
                 }
+                let (outcome, _) = ckpt.resume(RunHooks::default(), &instruments)?;
+                return Ok(package(key, outcome, Vec::new()));
             }
         }
 
-        // Hook intervals: explicit builder calls win; otherwise a
-        // recording campaign spec supplies them.
-        let (ck_every, au_every) = if explicit_hooks {
-            (checkpoint_every, audit_every)
-        } else {
-            match ambient.as_ref().filter(|j| !j.spec.resume) {
-                Some(job) => (job.spec.every, job.spec.audit_every),
-                None => (None, None),
-            }
+        let hooks = match job.filter(|(j, _)| !j.spec.resume) {
+            Some((job, _)) => RunHooks {
+                checkpoint_every: job.spec.every,
+                audit_every: job.spec.audit_every,
+                perturb_rng_at: None,
+            },
+            None => hooks,
         };
-
-        if ck_every.is_none() && au_every.is_none() && perturb_rng_at.is_none() {
-            let outcome = scenario.build()?.run();
-            return Ok(package(
-                key,
-                outcome,
-                explicit_record,
-                Vec::new(),
-                &scenario,
-            ));
+        let mut built = scenario.build()?;
+        instruments.attach(&mut built.net);
+        if hooks == RunHooks::default() {
+            return Ok(package(key, built.run(), Vec::new()));
         }
 
-        let hooks = RunHooks {
-            checkpoint_every: ck_every,
-            audit_every: au_every,
-            perturb_rng_at,
-        };
-        let (outcome, artifacts) = scenario.build()?.run_hooked(hooks);
+        let (outcome, artifacts) = built.run_hooked(hooks);
         let ladder = checkpoint::ladder_from_artifacts(&artifacts);
-        let file_key = ambient
-            .as_ref()
-            .map(|j| j.key.clone())
-            .unwrap_or_else(|| key.clone());
+        let file_key = job.map_or(&key, |(j, _)| &j.key);
         let checkpoints: Vec<(SimTime, Vec<u8>)> = artifacts
             .checkpoints
             .into_iter()
@@ -226,33 +240,20 @@ impl Run {
                 (at, container.encode())
             })
             .collect();
-        if let Some(job) = ambient.as_ref().filter(|j| !j.spec.resume) {
+        if let Some((job, run_no)) = job {
             // Newest checkpoint wins: resuming it leaves the least tail
             // to resimulate.
             if let Some((_, bytes)) = checkpoints.last() {
-                let path = job.spec.checkpoint_path(&job.key);
-                std::fs::create_dir_all(path.parent().expect("checkpoint path has a parent"))
-                    .and_then(|()| std::fs::write(&path, bytes))
-                    .map_err(|e| {
-                        SimError::invalid_config(format!(
-                            "cannot write checkpoint {}: {e}",
-                            path.display()
-                        ))
-                    })?;
+                write_artifact(&job.spec.checkpoint_path(&job.key, run_no), bytes)?;
             }
             if !ladder.entries.is_empty() {
-                let path = job.spec.audit_path(&job.key);
-                std::fs::create_dir_all(path.parent().expect("audit path has a parent"))
-                    .and_then(|()| std::fs::write(&path, ladder.to_text()))
-                    .map_err(|e| {
-                        SimError::invalid_config(format!(
-                            "cannot write audit ladder {}: {e}",
-                            path.display()
-                        ))
-                    })?;
+                write_artifact(
+                    &job.spec.audit_path(&job.key, run_no),
+                    ladder.to_text().as_bytes(),
+                )?;
             }
         }
-        let mut out = package(key, outcome, explicit_record, checkpoints, &scenario);
+        let mut out = package(key, outcome, checkpoints);
         out.audit = ladder;
         Ok(out)
     }
@@ -267,31 +268,42 @@ impl Run {
     /// [`SimError::InvalidConfig`] when the file is unreadable, corrupt,
     /// or its state does not match the embedded scenario.
     pub fn resume(path: impl AsRef<Path>) -> Result<RunOutcome, SimError> {
-        let ckpt = Checkpoint::read(path.as_ref())?;
-        let key = ckpt.key.clone();
-        let scenario = ckpt.scenario.clone();
-        let (outcome, _) = ckpt.resume(RunHooks::default())?;
-        Ok(package(key, outcome, false, Vec::new(), &scenario))
+        Run::resume_with(path, &Instruments::default())
     }
+
+    /// [`Run::resume`] observed by `instruments` (e.g. a conformance job
+    /// replaying a fuzz artifact's tail).
+    ///
+    /// # Errors
+    ///
+    /// As [`Run::resume`].
+    pub fn resume_with(
+        path: impl AsRef<Path>,
+        instruments: &Instruments,
+    ) -> Result<RunOutcome, SimError> {
+        let ckpt = Checkpoint::read(path.as_ref())?;
+        let (outcome, _) = ckpt.resume(RunHooks::default(), instruments)?;
+        Ok(package(ckpt.key, outcome, Vec::new()))
+    }
+}
+
+/// Writes one campaign artifact file, creating its directory.
+fn write_artifact(path: &Path, bytes: &[u8]) -> Result<(), SimError> {
+    std::fs::create_dir_all(path.parent().expect("artifact path has a parent"))
+        .and_then(|()| std::fs::write(path, bytes))
+        .map_err(|e| SimError::invalid_config(format!("cannot write {}: {e}", path.display())))
 }
 
 fn package(
     key: RunKey,
     outcome: ScenarioOutcome,
-    explicit_record: bool,
     checkpoints: Vec<(SimTime, Vec<u8>)>,
-    _scenario: &Scenario,
 ) -> RunOutcome {
     let grc = outcome
         .grc_reports
         .iter()
         .map(|(node, handles)| (*node, handles.snapshot()))
         .collect();
-    let obs = if explicit_record {
-        outcome.obs_report()
-    } else {
-        None
-    };
     RunOutcome {
         key,
         metrics: outcome.metrics,
@@ -300,7 +312,6 @@ fn package(
         senders: outcome.senders,
         receivers: outcome.receivers,
         grc,
-        obs,
         audit: snap::audit::Ladder::new(),
         checkpoints,
         duration: outcome.duration,

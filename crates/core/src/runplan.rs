@@ -4,7 +4,7 @@
 //! names its place in a campaign (experiment label, sweep point,
 //! replication seed). Executing one —
 //! `Run::plan(&scenario).keyed(key).execute()` (see [`crate::run::Run`])
-//! — is a pure function: it takes no ambient state, seeds the scenario
+//! — is a pure function: it reads no hidden state, seeds the scenario
 //! from the key alone, and returns a plain-data [`RunOutcome`] that is
 //! `Send`. Because of that, a sweep of plans can be executed in any
 //! order, on any thread, and aggregate to bit-identical results.
@@ -56,8 +56,6 @@ pub struct RunOutcome {
     pub receivers: Vec<NodeId>,
     /// Detached GRC report copies per observed node (empty unless GRC).
     pub grc: Vec<(NodeId, GrcSnapshot)>,
-    /// Drained flight-recorder report, if the run recorded.
-    pub obs: Option<::obs::ObsReport>,
     /// State-hash audit ladder (empty unless the run armed audit
     /// barriers; see [`Run::audit_every`](crate::Run::audit_every)).
     pub audit: snap::audit::Ladder,

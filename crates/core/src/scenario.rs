@@ -116,12 +116,6 @@ pub struct Scenario {
     pub probe_interval: SimDuration,
     /// Capture threshold override in dB (`None` = the 10 dB default).
     pub capture_threshold_db: Option<f64>,
-    /// Flight-recorder configuration. `None` (the default) still records
-    /// when an ambient recorder spec is installed for the thread (see
-    /// `obs::ambient`), which is how campaign runners enable recording
-    /// without touching every experiment; otherwise recording is off and
-    /// costs nothing.
-    pub record: Option<::obs::ObsSpec>,
     /// Virtual run length.
     pub duration: SimDuration,
     /// Master seed.
@@ -148,7 +142,6 @@ impl Default for Scenario {
             probes: false,
             probe_interval: SimDuration::from_millis(200),
             capture_threshold_db: None,
-            record: None,
             duration: SimDuration::from_secs(10),
             seed: 1,
         }
@@ -157,10 +150,7 @@ impl Default for Scenario {
 
 /// The encoding covers every field that shapes simulated behavior, so a
 /// checkpoint can embed the scenario it was taken under and a resuming
-/// process can rebuild an identically configured network. `record` is
-/// deliberately excluded: observability never feeds back into the
-/// simulation, so recording is the resuming process's own choice —
-/// [`load`](snap::SnapValue::load) leaves it `None`.
+/// process can rebuild an identically configured network.
 impl snap::SnapValue for Scenario {
     fn save(&self, w: &mut snap::Enc) {
         w.u8(match self.phy {
@@ -250,7 +240,6 @@ impl snap::SnapValue for Scenario {
             probes: r.bool()?,
             probe_interval: SimDuration::load(r)?,
             capture_threshold_db: Option::load(r)?,
-            record: None,
             duration: SimDuration::load(r)?,
             seed: r.u64()?,
             grc_windows: Option::load(r)?,
@@ -273,21 +262,11 @@ pub struct ScenarioOutcome {
     pub receivers: Vec<NodeId>,
     /// GRC report handles per observed node (empty unless `grc`).
     pub grc_reports: Vec<(NodeId, GrcReportHandles)>,
-    /// The flight recorder, if the run recorded.
-    pub recorder: Option<::obs::RecorderHandle>,
     /// Run length (for goodput conversions).
     pub duration: SimDuration,
 }
 
 impl ScenarioOutcome {
-    /// Drains the flight recorder into an exportable report, if the run
-    /// recorded. Subsequent calls return an empty report.
-    pub fn obs_report(&self) -> Option<::obs::ObsReport> {
-        self.recorder
-            .as_ref()
-            .map(|r| r.borrow_mut().drain_report())
-    }
-
     /// Goodput of receiver `i`'s flow in Mb/s.
     pub fn goodput_mbps(&self, i: usize) -> f64 {
         self.metrics.goodput_mbps(self.flows[i])
@@ -330,8 +309,6 @@ pub struct BuiltScenario {
     pub receivers: Vec<NodeId>,
     /// GRC report handles per observed node (empty unless GRC).
     pub grc_reports: Vec<(NodeId, GrcReportHandles)>,
-    /// The flight recorder wired into the network, if recording.
-    pub recorder: Option<::obs::RecorderHandle>,
     /// Virtual run length.
     pub duration: SimDuration,
 }
@@ -380,7 +357,6 @@ impl BuiltScenario {
             senders: self.senders,
             receivers: self.receivers,
             grc_reports: self.grc_reports,
-            recorder: self.recorder,
             duration: self.duration,
         }
     }
@@ -561,26 +537,13 @@ impl Scenario {
             b.link_error(receivers[*i], src, em);
         }
 
-        // --- recording -------------------------------------------------
-        // An explicit spec beats the thread's ambient one; with neither,
-        // recording is off and the network carries no recorder at all.
-        let recorder = match &self.record {
-            Some(spec) => Some(spec.recorder()),
-            None => ::obs::ambient::current(),
-        };
-        let mut net = b.build();
-        if let Some(rec) = &recorder {
-            net.set_recorder(rec.clone());
-        }
-
         Ok(BuiltScenario {
-            net,
+            net: b.build(),
             flows,
             probe_flows,
             senders,
             receivers,
             grc_reports,
-            recorder,
             duration: self.duration,
         })
     }

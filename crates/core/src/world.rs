@@ -301,16 +301,6 @@ impl WorldRun {
                 } else {
                     spec.cell_key(id).stream_seed()
                 };
-                if conform.is_some() && scenario.record.is_none() {
-                    // The checker taps a recorder; a zero-capacity
-                    // all-layer spec feeds the tap without retaining
-                    // events or sampling gauges.
-                    scenario.record = Some(::obs::ObsSpec {
-                        capacity: 0,
-                        probe_interval: None,
-                        filter: ::obs::Filter::all(),
-                    });
-                }
                 CellPlan {
                     id,
                     row,
@@ -378,7 +368,6 @@ impl WorldRun {
             epoch: spec.epoch,
             duration,
             conform,
-            explicit_record: spec.template.record.is_some(),
         };
         let shift = spec.epoch;
         let exchange = move |_epoch: usize, reports: Vec<Vec<TxInterval>>| {
@@ -630,7 +619,6 @@ struct CellShard {
     senders: Vec<NodeId>,
     receivers: Vec<NodeId>,
     grc_reports: Vec<(NodeId, crate::detect::GrcReportHandles)>,
-    recorder: Option<::obs::RecorderHandle>,
 }
 
 struct WorldProto {
@@ -638,7 +626,6 @@ struct WorldProto {
     epoch: SimDuration,
     duration: SimDuration,
     conform: Option<::conform::ConformJob>,
-    explicit_record: bool,
 }
 
 impl Lockstep for WorldProto {
@@ -649,18 +636,17 @@ impl Lockstep for WorldProto {
     type Out = CellOutcome;
 
     fn build(&self, _index: usize, plan: CellPlan) -> CellShard {
-        // The checker is armed from the thread's ambient slot while the
-        // network wires its recorder, so install the cell's job for
-        // exactly the duration of the build.
-        let _guard = self.conform.as_ref().map(|job| {
-            let mut job = job.clone();
-            job.key = Some(plan.key.clone());
-            ::conform::ambient::install(job)
-        });
-        let built = plan
+        let mut built = plan
             .scenario
             .build()
             .expect("world template validated before dispatch");
+        // Each cell is checked under its own key.
+        if let Some(job) = &self.conform {
+            built.net.arm_conform(::conform::ConformJob {
+                key: Some(plan.key.clone()),
+                ..job.clone()
+            });
+        }
         let cell = Cell::new(plan.id, plan.channel, plan.origin, built.net, self.hooks);
         CellShard {
             cell,
@@ -670,7 +656,6 @@ impl Lockstep for WorldProto {
             senders: built.senders,
             receivers: built.receivers,
             grc_reports: built.grc_reports,
-            recorder: built.recorder,
         }
     }
 
@@ -699,7 +684,6 @@ impl Lockstep for WorldProto {
             senders,
             receivers,
             grc_reports,
-            recorder,
         } = shard;
         let (metrics, artifacts) = cell.finish(self.duration);
         let ladder = checkpoint::ladder_from_artifacts(&artifacts);
@@ -720,11 +704,6 @@ impl Lockstep for WorldProto {
             .iter()
             .map(|(node, handles)| (*node, handles.snapshot()))
             .collect();
-        let obs = if self.explicit_record {
-            recorder.as_ref().map(|r| r.borrow_mut().drain_report())
-        } else {
-            None
-        };
         CellOutcome {
             id: plan.id,
             row: plan.row,
@@ -739,7 +718,6 @@ impl Lockstep for WorldProto {
                 senders,
                 receivers,
                 grc,
-                obs,
                 audit: ladder,
                 checkpoints,
                 duration: self.duration,

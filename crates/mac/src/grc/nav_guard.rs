@@ -17,10 +17,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NavCalculator};
+use obs::Shared;
 use phy::PhyParams;
 use sim::{SimDuration, SimTime};
 
-use super::shared::Shared;
 use super::window::WindowTrack;
 
 /// Detection statistics shared out of the observer.
@@ -44,8 +44,8 @@ impl NavGuardReport {
     }
 }
 
-/// Shared handle to a [`NavGuardReport`]. Thread-safe so a network with
-/// the guard attached remains `Send`.
+/// Shared handle to a [`NavGuardReport`]. Single-threaded, like the run
+/// that owns it; outcomes carry a detached [`Shared::snapshot`].
 pub type NavGuardHandle = Shared<NavGuardReport>;
 
 /// The NAV-sanitizing observer.

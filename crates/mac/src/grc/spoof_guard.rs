@@ -17,8 +17,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NodeId};
+use obs::Shared;
 
-use super::shared::Shared;
 use super::window::WindowTrack;
 use sim::SimDuration;
 
@@ -65,8 +65,8 @@ pub struct SpoofGuardReport {
     pub windows: Option<WindowTrack>,
 }
 
-/// Shared handle to a [`SpoofGuardReport`]. Thread-safe so a network with
-/// the guard attached remains `Send`.
+/// Shared handle to a [`SpoofGuardReport`]. Single-threaded, like the run
+/// that owns it; outcomes carry a detached [`Shared::snapshot`].
 pub type SpoofGuardHandle = Shared<SpoofGuardReport>;
 
 /// The sender-side ACK-vetting observer.

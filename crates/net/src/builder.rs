@@ -364,7 +364,7 @@ impl NetworkBuilder {
             .map(|(a, b, r, em)| ((a.0, b.0, r), em))
             .collect();
         let cs_latency = self.phy.slot * self.cs_latency_slots as u64;
-        let mut net = Network::assemble(
+        Network::assemble(
             self.phy,
             self.channel,
             self.capture,
@@ -375,14 +375,7 @@ impl NetworkBuilder {
             rate_link_error,
             self.default_error,
             master.fork(1),
-        );
-        // Builder-direct experiments (no `Scenario`) still honor the
-        // ambient recorder, so campaign sweeps and conformance checking
-        // cover them too. Recording never perturbs simulation outcomes.
-        if let Some(handle) = ::obs::ambient::current() {
-            net.set_recorder(handle);
-        }
-        net
+        )
     }
 }
 

@@ -93,7 +93,7 @@ pub(crate) enum Event {
 }
 
 /// Virtual-time hooks threaded through [`Network::run_hooked`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunHooks {
     /// Record one audit-ladder rung (a digest per layer) every this much
     /// virtual time.
@@ -249,7 +249,7 @@ pub struct Network {
     /// Live TCP retransmission timers, indexed by flow id.
     flow_timers: Vec<Option<TimerHandle>>,
     recorder: Option<::obs::RecorderHandle>,
-    /// Armed conformance checking: the ambient job that requested it and
+    /// Armed conformance checking: the job that requested it and
     /// the checker tapping the recorder stream. The report is deposited
     /// when the event loop finishes.
     conform: Option<(::conform::ConformJob, ::conform::SharedChecker)>,
@@ -354,36 +354,52 @@ impl Network {
                 sender.set_recorder(recorder.clone(), f.src.0);
             }
         }
-        // Arm conformance checking when an ambient job requests it: the
-        // checker taps the recorder stream (every emission, before any
-        // filter), with each station's declared quirks and retry limits
-        // as its profile.
-        if let Some(job) = ::conform::ambient::current() {
-            let mut profiles = HashMap::new();
-            for (i, st) in self.nodes.iter().enumerate() {
-                let cfg = st.dcf.config();
-                profiles.insert(
-                    i as u16,
-                    ::conform::NodeProfile {
-                        quirks: st.dcf.quirk_flags(),
-                        short_retry_limit: cfg.short_retry_limit,
-                        long_retry_limit: cfg.long_retry_limit,
-                    },
-                );
-            }
-            let timing =
-                ::conform::Timing::from_params(&self.phy, ::conform::timing::MSDU_MTU_BYTES);
-            let mut checker = ::conform::Checker::new(timing, profiles);
-            if !job.honor_whitelist {
-                checker = checker.without_whitelist();
-            }
-            let shared = ::conform::SharedChecker::new(checker);
-            recorder
-                .borrow_mut()
-                .set_tap(Box::new(::conform::CheckerTap(shared.clone())));
-            self.conform = Some((job, shared));
-        }
         self.recorder = Some(recorder);
+    }
+
+    /// Arms live conformance checking for this run: a checker taps the
+    /// recorder stream (every emission, before any filter), with each
+    /// station's declared quirks and retry limits as its profile, and
+    /// its report lands in `job`'s sink when the event loop finishes.
+    ///
+    /// Without a recorder the network gets a capacity-0 one that retains
+    /// nothing and samples no gauges, so the tap still sees every event.
+    /// Install any recorder of your own with [`Network::set_recorder`]
+    /// first: the checker taps whichever recorder is present.
+    pub fn arm_conform(&mut self, job: ::conform::ConformJob) {
+        let recorder = self.recorder.clone().unwrap_or_else(|| {
+            ::obs::ObsSpec {
+                capacity: 0,
+                probe_interval: None,
+                filter: ::obs::Filter::all(),
+            }
+            .recorder()
+        });
+        // (Re)wire every layer so a PHY-only trace recorder also carries
+        // the MAC and transport emissions the rules need.
+        self.set_recorder(recorder.clone());
+        let mut profiles = HashMap::new();
+        for (i, st) in self.nodes.iter().enumerate() {
+            let cfg = st.dcf.config();
+            profiles.insert(
+                i as u16,
+                ::conform::NodeProfile {
+                    quirks: st.dcf.quirk_flags(),
+                    short_retry_limit: cfg.short_retry_limit,
+                    long_retry_limit: cfg.long_retry_limit,
+                },
+            );
+        }
+        let timing = ::conform::Timing::from_params(&self.phy, ::conform::timing::MSDU_MTU_BYTES);
+        let mut checker = ::conform::Checker::new(timing, profiles);
+        if !job.honor_whitelist {
+            checker = checker.without_whitelist();
+        }
+        let shared = ::conform::SharedChecker::new(checker);
+        recorder
+            .borrow_mut()
+            .set_tap(Box::new(::conform::CheckerTap(shared.clone())));
+        self.conform = Some((job, shared));
     }
 
     /// The installed flight recorder, if any.

@@ -19,8 +19,8 @@ use gr_net::{Cell, Network, NetworkBuilder, RunHooks};
 use phy::{ChannelIndex, ChannelModel, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 
-/// Builds `scenario` with an ambient flight recorder attached, runs it
-/// for `dur`, and returns the normalized structural trace.
+/// Builds `scenario` with a flight recorder attached, runs it for
+/// `dur`, and returns the normalized structural trace.
 fn trace(dur: SimDuration, build: impl FnOnce() -> Network) -> Vec<String> {
     let rec = obs::ObsSpec {
         capacity: 1 << 17,
@@ -28,10 +28,8 @@ fn trace(dur: SimDuration, build: impl FnOnce() -> Network) -> Vec<String> {
         filter: obs::Filter::all(),
     }
     .recorder();
-    let mut net = {
-        let _guard = obs::ambient::install(rec.clone());
-        build()
-    };
+    let mut net = build();
+    net.set_recorder(rec.clone());
     net.run(dur);
     let report = rec.borrow_mut().drain_report();
     assert_eq!(report.dropped, 0, "recorder ring too small for fixture");
@@ -163,10 +161,8 @@ fn two_cell_co_channel_interference() {
     }
     .recorder();
     // Only cell 0 is traced; the recorder attaches at build time.
-    let net0 = {
-        let _guard = obs::ambient::install(rec.clone());
-        pair(3, 8_000_000)
-    };
+    let mut net0 = pair(3, 8_000_000);
+    net0.set_recorder(rec.clone());
     let net1 = pair(7, 8_000_000);
     let mut cells = [
         Cell::new(

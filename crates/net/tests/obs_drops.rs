@@ -18,7 +18,6 @@ fn run_with_capacity(capacity: usize) -> obs::ObsReport {
     }
     .recorder();
     let mut net = {
-        let _guard = obs::ambient::install(rec.clone());
         let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(2);
         let s1 = b.add_node(Position::new(0.0, 0.0));
         let r1 = b.add_node(Position::new(5.0, 0.0));
@@ -28,6 +27,7 @@ fn run_with_capacity(capacity: usize) -> obs::ObsReport {
         b.udp_flow(s2, r2, 512, 8_000_000);
         b.build()
     };
+    net.set_recorder(rec.clone());
     net.run(SimDuration::from_millis(200));
     let report = rec.borrow_mut().drain_report();
     report

@@ -16,9 +16,8 @@
 //!   [`sim::RunKey`];
 //! * [`span!`] / [`profile`] — a wall-clock profiling scope reporting
 //!   per-layer time;
-//! * [`ambient`] — a per-thread recorder slot so campaign sweeps can
-//!   inject recording into experiment closures without changing their
-//!   signatures.
+//! * [`Shared`] — the single-threaded shared cell every per-run handle
+//!   (recorder, checker, detector reports) is built on.
 //!
 //! Recording is zero-cost when disabled: every instrumentation site is
 //! an `Option<RecorderHandle>` check (`None` in all default paths), and
@@ -49,7 +48,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod ambient;
 pub mod event;
 pub mod export;
 pub mod profile;

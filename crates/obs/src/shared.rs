@@ -1,12 +1,15 @@
-//! Shared mutable handles to recorder state.
+//! Shared mutable handles to per-run state.
 //!
-//! Mirrors the `Shared<T>` idiom used by the detection layer: an
-//! `Rc<RefCell<T>>`. Every layer of one run holds a clone of the same
-//! [`crate::RecorderHandle`]; runs never share a recorder and each run is
-//! single-threaded, so interior mutability without atomics is exactly
-//! right — the recorder borrow sits on the per-event hot path. Campaign
-//! aggregation state that genuinely crosses worker threads (e.g. the
-//! bench sink) uses an explicit `Arc<Mutex<…>>` at that one site instead.
+//! One `Shared<T>` (an `Rc<RefCell<T>>`) serves every layer: the flight
+//! recorder, the conformance checker and the GRC detector reports
+//! (re-exported as `mac::grc::Shared`). A run is strictly
+//! single-threaded — the campaign runner builds **and** executes each
+//! run inside one worker closure, and only plain-data outcomes cross
+//! threads (see `core::runplan`) — so interior mutability without
+//! atomics is exactly right: these borrows sit on the per-event hot
+//! path. Campaign aggregation state that genuinely crosses worker
+//! threads (the obs and conformance sinks) uses an explicit
+//! `Arc<Mutex<…>>` at that one site instead.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
@@ -36,6 +39,15 @@ impl<T> Shared<T> {
     /// Panics if the cell is currently borrowed.
     pub fn borrow_mut(&self) -> RefMut<'_, T> {
         self.0.borrow_mut()
+    }
+
+    /// An owned copy of the current contents — what run outcomes carry
+    /// back across the thread boundary.
+    pub fn snapshot(&self) -> T
+    where
+        T: Clone,
+    {
+        self.borrow().clone()
     }
 
     /// Whether `self` and `other` point at the same cell.
@@ -70,5 +82,22 @@ mod tests {
         assert_eq!(*a.borrow(), 42);
         assert!(a.same_cell(&b));
         assert!(!a.same_cell(&Shared::new(1)));
+    }
+
+    #[test]
+    fn clones_alias_the_same_cell() {
+        let a = Shared::new(0u64);
+        let b = a.clone();
+        *a.borrow_mut() += 5;
+        assert_eq!(*b.borrow(), 5);
+    }
+
+    #[test]
+    fn snapshot_is_detached() {
+        let a = Shared::new(vec![1, 2]);
+        let snap = a.snapshot();
+        a.borrow_mut().push(3);
+        assert_eq!(snap, vec![1, 2]);
+        assert_eq!(*a.borrow(), vec![1, 2, 3]);
     }
 }
