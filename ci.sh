@@ -47,7 +47,7 @@ cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --audit-every 500 --out "$CK/rec2" fig2 >/dev/null
 for a in "$CK"/rec/audit/*.audit; do
   cargo run --release --offline -p gr-bench --bin repro -- \
-    --audit-compare "$a" "$CK/rec2/audit/$(basename "$a")" >/dev/null
+    audit-compare "$a" "$CK/rec2/audit/$(basename "$a")" >/dev/null
 done
 
 echo "==> golden-trace corpus (structural fixtures)"
@@ -63,7 +63,7 @@ for f in "$CK"/wa/world*.csv; do
 done
 
 echo "==> world identity (fig2 via 1x1 worlds must match fig2.csv byte-for-byte)"
-cargo run --release --offline -p gr-bench --bin repro -- --fig2-check --quick >/dev/null
+cargo run --release --offline -p gr-bench --bin repro -- fig2-check --quick >/dev/null
 
 echo "==> world conformance (honest 2x2 cells must check clean per-cell)"
 cargo run --release --offline -p gr-bench --bin repro -- \

@@ -1,28 +1,20 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures, and runs the campaigns
+//! built on the same simulator; `repro --help` lists every subcommand
+//! and flag.
 //!
 //! ```sh
-//! repro run all                # every artifact at full fidelity
-//! repro run fig1 tab2          # selected artifacts
-//! repro run --quick all        # fast low-fidelity pass
-//! repro run --jobs 8 all       # shard sweep points across 8 workers
-//! repro run --out results all  # CSV output directory (default: results)
-//! repro run --record fig6      # flight-record every run into results/obs/
-//! repro gate [--check]         # perf gate; --check fails on regression
-//! repro fuzz 25 --seed 7       # randomized conformance fuzzing
-//! repro world [--cells 3x3]    # multi-cell world campaign
-//! repro cc                     # congestion-control zoo matrix
-//! repro roc                    # detection science: ROC/AUC, adaptive
-//!                              # thresholds, CUSUM/SPRT delays
-//! repro intensity              # attack-intensity frontiers: sweep every
-//!                              # misbehavior knob to its detector's knee
-//! repro --list                 # available experiment ids
+//! repro run --quick --jobs 8 all      # every artifact, low fidelity, 8 workers
+//! repro run fig1 tab2                 # selected artifacts (fig06 = fig6)
+//! repro run --record fig6             # flight-record every run into results/obs/
+//! repro gate --check                  # perf gate; fails on regression
+//! repro fuzz 25 --seed 7              # randomized conformance fuzzing
+//! repro world --cells 3x3             # multi-cell world campaign
+//! repro intensity --points 3          # also: cc, roc, fig2-check, list
 //! ```
 //!
-//! Each subcommand expands to the flag spelling it replaced
-//! (`repro gate` ≡ `repro --bench-gate`, and so on); the old flags keep
-//! working as hidden aliases so existing scripts and recorded repro
-//! lines don't break. Zero-padded ids (`fig06`) are accepted anywhere
-//! an id is.
+//! A flag the subcommand does not use, a stray positional argument and
+//! a spelling earlier versions accepted (`--bench-gate`, `-q`, bare
+//! `repro fig2`, …) are errors that name the argument.
 //!
 //! Outputs are independent of `--jobs`: every simulation run draws from
 //! an RNG stream keyed by `(experiment label, sweep point, seed index)`,
@@ -44,11 +36,11 @@
 //! Checkpoint & audit (see DESIGN.md §12):
 //!
 //! ```sh
-//! repro --quick --checkpoint-every 100 fig6   # checkpoint every 100 ms vt
-//! repro --quick --audit-every 100 fig6        # record audit ladders too
-//! repro --quick --resume results fig6         # resume a recorded campaign
-//! repro --resume results/checkpoints/RUN.snap # resume one checkpoint file
-//! repro --audit-compare A.audit B.audit       # diff two audit ladders
+//! repro run --quick --checkpoint-every 100 fig6    # checkpoint every 100 ms vt
+//! repro run --quick --audit-every 100 fig6         # record audit ladders too
+//! repro run --quick --resume results fig6          # resume a recorded campaign
+//! repro resume results/checkpoints/fig6-p0003-s0001.snap  # resume one run
+//! repro audit-compare a.audit b.audit              # diff two audit ladders
 //! ```
 //!
 //! `--checkpoint-every N` freezes every run at each multiple of N ms of
@@ -57,16 +49,516 @@
 //! `DIR/audit/<run>.audit`. `--resume DIR` re-runs the selected
 //! experiments, restoring each run from its recorded checkpoint and
 //! simulating only the tail — the CSVs come out byte-identical to the
-//! uninterrupted campaign's, at any `--jobs` width. `--audit-compare`
+//! uninterrupted campaign's, at any `--jobs` width. `audit-compare`
 //! exits non-zero when the ladders diverge and names the first diverging
 //! layer and virtual-time bracket.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
-use gr_bench::{fuzz, gate, registry, ConformCampaign, ObsCampaign, Quality, RunCtx};
+use gr_bench::{fuzz, gate, registry, ConformCampaign, Generator, ObsCampaign, Quality, RunCtx};
+use greedy80211::CampaignSpec;
 use net::stats;
+use sim::{RunKey, SimDuration};
+
+const USAGE: &str = "\
+usage: repro run [CAMPAIGN] [RECORD] [CHECKPOINTS] [CONFORM] (all | ID...)
+       repro resume [CONFORM] FILE.snap
+       repro audit-compare A.audit B.audit
+       repro gate [--check] [--out DIR]
+       repro fuzz N [--seed K] [--out DIR]
+       repro world [CAMPAIGN] [--cells RxC] [CONFORM]
+       repro fig2-check [--quick] [--seeds N] [--jobs N]
+       repro cc [CAMPAIGN]
+       repro roc [CAMPAIGN]
+       repro intensity [CAMPAIGN] [--points N] [CHECKPOINTS]
+       repro list
+
+  CAMPAIGN     --quick (1 seed, short runs)  --seeds N (seeds 1..=N)
+               --jobs N (workers; outputs are identical at any N)  --out DIR (results)
+  RECORD       --record: flight-record every run into DIR/obs/
+               --record-filter SPEC: only layers phy|mac|transport|net and/or node ids
+  CHECKPOINTS  --checkpoint-every MS: freeze every run each MS of virtual time
+               --audit-every MS: record per-layer state-hash ladders into DIR/audit/
+               --resume DIR: resume every run from the checkpoints recorded in DIR
+  CONFORM      --conform: check 802.11 invariants live, fail on any violation
+               --conform-no-whitelist: same, declared greedy quirks not exempt
+
+  run          regenerate experiments (fig06 = fig6) into DIR, plus bench_summary.json
+  resume       resume one checkpoint file and print its goodput
+  audit-compare  diff two audit ladders; non-zero exit on divergence
+  gate         time the perf-gate workloads into DIR/BENCH_<date>.json; --check
+               fails on a regression against DIR/BENCH_BASELINE.json
+  fuzz         N randomized scenarios under the checker (seed K, default 1);
+               violations shrink to a 10 ms bracket in DIR/conform/
+  world        multi-cell worlds, greedy density x grid size (--cells: one size)
+  fig2-check   fig2 via 1x1 worlds must match the direct fig2 CSV byte for byte
+  cc           congestion-control zoo: 4 controllers x 4 attacks
+  roc          detection science: ROC/AUC, adaptive thresholds, CUSUM/SPRT delays
+  intensity    attack-intensity frontiers and knees (--points: thin the grid)
+  list         print every experiment id";
+
+/// What `repro` was asked to do: one variant per subcommand, each
+/// carrying only the values that subcommand uses.
+#[derive(Debug)]
+enum Command {
+    /// `repro run (all | ID...)`: regenerate registry experiments.
+    Run {
+        campaign: Campaign,
+        selected: Vec<(&'static str, Generator)>,
+        record: Option<obs::Filter>,
+        checkpoints: Option<Checkpoints>,
+        conform: Conform,
+    },
+    /// `repro resume FILE.snap`: resume one checkpoint and print it.
+    Resume { snap: PathBuf, conform: Conform },
+    /// `repro audit-compare A B`: diff two audit ladders.
+    AuditCompare(PathBuf, PathBuf),
+    /// `repro gate`: time the pinned perf-gate workloads.
+    Gate { out: PathBuf, check: bool },
+    /// `repro fuzz N`: `cases` randomized scenarios under the checker.
+    Fuzz { cases: u64, seed: u64, out: PathBuf },
+    /// `repro world`: the multi-cell world campaign.
+    World {
+        campaign: Campaign,
+        cells: Option<(usize, usize)>,
+        conform: Conform,
+    },
+    /// `repro fig2-check`: fig2 via 1×1 worlds against the direct run.
+    Fig2Check(Fidelity),
+    /// `repro cc`: the congestion-control zoo.
+    Cc(Campaign),
+    /// `repro roc`: the detection-science campaign.
+    Roc(Campaign),
+    /// `repro intensity`: the attack-intensity frontiers.
+    Intensity {
+        campaign: Campaign,
+        points: Option<NonZeroUsize>,
+        checkpoints: Option<Checkpoints>,
+    },
+    /// `repro list`: print the experiment ids.
+    List,
+    /// `repro --help`.
+    Help,
+}
+
+/// Fidelity and worker count: `--quick`, `--seeds N`, `--jobs N`.
+#[derive(Debug)]
+struct Fidelity {
+    quick: bool,
+    seeds: Option<NonZeroU64>,
+    jobs: NonZeroUsize,
+}
+
+/// A campaign's fidelity plus its output directory (`--out DIR`).
+#[derive(Debug)]
+struct Campaign {
+    fid: Fidelity,
+    out: PathBuf,
+}
+
+/// Whether runs are conformance-checked, and whether declared greedy
+/// quirks still exempt their rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Conform {
+    Off,
+    Whitelisted,
+    NoWhitelist,
+}
+
+/// A campaign's checkpoints: recorded into the output directory at the
+/// given intervals of virtual time, or restored from an earlier
+/// campaign's directory.
+#[derive(Debug)]
+enum Checkpoints {
+    Record {
+        every: Option<SimDuration>,
+        audit_every: Option<SimDuration>,
+    },
+    Resume(PathBuf),
+}
+
+const MS: &str = "a positive interval in ms of virtual time";
+
+/// Every flag that takes a value, with what a valid value looks like.
+const VALUED: &[(&str, &str)] = &[
+    ("--seeds", "a positive seed count"),
+    ("--jobs", "a positive integer"),
+    ("--out", "a directory"),
+    ("--record-filter", "a spec like phy,mac or 0,3"),
+    ("--checkpoint-every", MS),
+    ("--audit-every", MS),
+    ("--resume", "a campaign directory"),
+    ("--points", "a positive grid-point count"),
+    ("--cells", "a grid like 3x3"),
+    ("--seed", "a 64-bit seed"),
+];
+
+/// Every flag that takes no value.
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--check",
+    "--record",
+    "--conform",
+    "--conform-no-whitelist",
+];
+
+/// Spellings earlier versions accepted, each with what replaces it.
+const REMOVED: &[(&str, &str)] = &[
+    ("--bench-gate", "repro gate"),
+    ("--fuzz", "repro fuzz N --seed K"),
+    ("--fuzz-seed", "repro fuzz N --seed K"),
+    ("--world", "repro world"),
+    ("--cc", "repro cc"),
+    ("--roc", "repro roc"),
+    ("--intensity", "repro intensity"),
+    ("--fig2-check", "repro fig2-check"),
+    ("--audit-compare", "repro audit-compare A B"),
+    ("--list", "repro list"),
+    ("-l", "repro list"),
+    ("--experiment", "repro run ID..."),
+    ("-e", "repro run ID..."),
+    ("-q", "--quick"),
+    ("-j", "--jobs N"),
+    ("-o", "--out DIR"),
+];
+
+/// The error for `flag` given to subcommand `sub`, which does not take it.
+fn not_a_flag(flag: &str, sub: &str) -> String {
+    match REMOVED.iter().find(|(old, _)| *old == flag) {
+        Some((_, new)) => format!("`{flag}` was removed; use `{new}`"),
+        None => format!("`{flag}` is not a flag of `repro {sub}`; see `repro --help`"),
+    }
+}
+
+/// A subcommand's arguments, split into flags and positionals. The
+/// subcommand's parser takes out what it uses; [`Args::finish`] rejects
+/// whatever is left.
+struct Args<'a> {
+    sub: &'a str,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn split(sub: &'a str, rest: &'a [String]) -> Result<Self, String> {
+        let (mut flags, mut positional) = (Vec::new(), Vec::new());
+        let mut it = rest.iter().map(String::as_str);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') || arg == "-" {
+                positional.push(arg);
+            } else if VALUED.iter().any(|(f, _)| *f == arg) {
+                flags.push((arg, it.next()));
+            } else if SWITCHES.contains(&arg) {
+                flags.push((arg, None));
+            } else {
+                return Err(not_a_flag(arg, sub));
+            }
+        }
+        Ok(Args {
+            sub,
+            flags,
+            positional,
+        })
+    }
+
+    /// Removes every occurrence of `flag`, returning their values.
+    fn take(&mut self, flag: &str) -> Vec<Option<&'a str>> {
+        let (hits, rest) = self.flags.iter().partition(|(f, _)| *f == flag);
+        self.flags = rest;
+        hits.into_iter().map(|(_, v)| v).collect()
+    }
+
+    /// Whether switch `flag` was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        !self.take(flag).is_empty()
+    }
+
+    /// The value of `flag` parsed as `T` (the last one if given twice).
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        let mut parsed = None;
+        for v in self.take(flag) {
+            let expects = VALUED
+                .iter()
+                .find(|(f, _)| *f == flag)
+                .map_or("a value", |e| e.1);
+            let v = v.and_then(|v| v.parse().ok());
+            parsed = Some(v.ok_or_else(|| format!("{flag} requires {expects}"))?);
+        }
+        Ok(parsed)
+    }
+
+    /// The first `N` positional arguments, `what` naming them for the
+    /// error when there are fewer.
+    fn positional<const N: usize>(&mut self, what: &str) -> Result<[&'a str; N], String> {
+        if self.positional.len() < N {
+            return Err(format!("`repro {}` requires {what}", self.sub));
+        }
+        let head: Vec<&str> = self.positional.drain(..N).collect();
+        Ok(head.try_into().expect("N positionals drained"))
+    }
+
+    /// Rejects any flag or positional the subcommand did not use.
+    fn finish(self) -> Result<(), String> {
+        if let Some((flag, _)) = self.flags.first() {
+            return Err(not_a_flag(flag, self.sub));
+        }
+        match self.positional.first() {
+            Some(extra) => Err(format!(
+                "unexpected argument `{extra}` for `repro {}`",
+                self.sub
+            )),
+            None => Ok(()),
+        }
+    }
+
+    fn out(&mut self) -> Result<PathBuf, String> {
+        Ok(self.value("--out")?.unwrap_or_else(|| "results".into()))
+    }
+
+    /// `--jobs` defaults to the machine's core count.
+    fn fidelity(&mut self) -> Result<Fidelity, String> {
+        let cores = NonZeroUsize::new(runner::available_jobs()).unwrap_or(NonZeroUsize::MIN);
+        Ok(Fidelity {
+            quick: self.switch("--quick"),
+            seeds: self.value("--seeds")?,
+            jobs: self.value("--jobs")?.unwrap_or(cores),
+        })
+    }
+
+    fn campaign(&mut self) -> Result<Campaign, String> {
+        Ok(Campaign {
+            fid: self.fidelity()?,
+            out: self.out()?,
+        })
+    }
+
+    /// The stricter `--conform-no-whitelist` wins when both are given.
+    fn conform(&mut self) -> Conform {
+        match (
+            self.switch("--conform"),
+            self.switch("--conform-no-whitelist"),
+        ) {
+            (_, true) => Conform::NoWhitelist,
+            (true, false) => Conform::Whitelisted,
+            (false, false) => Conform::Off,
+        }
+    }
+
+    fn record(&mut self) -> Result<Option<obs::Filter>, String> {
+        let on = self.switch("--record");
+        let spec: Option<String> = self.value("--record-filter")?;
+        match spec {
+            Some(spec) => obs::Filter::parse(&spec)
+                .map(Some)
+                .map_err(|e| format!("--record-filter: {e}")),
+            None => Ok(on.then(obs::Filter::all)),
+        }
+    }
+
+    /// `--resume` excludes both intervals: a resumed campaign records
+    /// nothing new, so an interval given with it would be ignored.
+    fn checkpoints(&mut self) -> Result<Option<Checkpoints>, String> {
+        let ms = |n: Option<NonZeroU64>| n.map(|n| SimDuration::from_millis(n.get()));
+        let every = ms(self.value("--checkpoint-every")?);
+        let audit_every = ms(self.value("--audit-every")?);
+        match self.value("--resume")? {
+            None if every.is_none() && audit_every.is_none() => Ok(None),
+            None => Ok(Some(Checkpoints::Record { every, audit_every })),
+            Some(_) if every.is_some() || audit_every.is_some() => {
+                Err("--resume cannot be combined with --checkpoint-every or --audit-every".into())
+            }
+            Some(dir) => Ok(Some(Checkpoints::Resume(dir))),
+        }
+    }
+}
+
+impl Fidelity {
+    /// The selected fidelity, with the seed list overridden by
+    /// `--seeds N` (seeds 1..=N) when given.
+    fn quality(&self) -> Quality {
+        let mut q = if self.quick {
+            Quality::quick()
+        } else {
+            Quality::full()
+        };
+        if let Some(n) = self.seeds {
+            q.seeds = (1..=n.get()).collect();
+        }
+        q
+    }
+
+    fn ctx(&self) -> RunCtx {
+        RunCtx::with_jobs(self.quality(), self.jobs.get())
+    }
+}
+
+impl Conform {
+    /// A campaign-wide checker, or `None` when checking is off.
+    fn campaign(self) -> Option<ConformCampaign> {
+        match self {
+            Conform::Off => None,
+            Conform::Whitelisted => Some(ConformCampaign::new()),
+            Conform::NoWhitelist => Some(ConformCampaign::new().without_whitelist()),
+        }
+    }
+}
+
+impl Checkpoints {
+    /// The campaign spec: record into `dir`, or resume from the
+    /// directory `--resume` named.
+    fn spec(&self, dir: &Path) -> Result<CampaignSpec, String> {
+        match self {
+            Checkpoints::Record { every, audit_every } => {
+                Ok(CampaignSpec::record(dir, *every, *audit_every))
+            }
+            Checkpoints::Resume(from) => {
+                CampaignSpec::resume_from(from).map_err(|e| format!("--resume: {e}"))
+            }
+        }
+    }
+
+    /// The campaign banner's note on checkpointing.
+    fn note(this: Option<&Self>) -> &'static str {
+        match this {
+            Some(Checkpoints::Resume(_)) => ", resuming from checkpoints",
+            Some(Checkpoints::Record { .. }) => ", checkpointing",
+            None => "",
+        }
+    }
+}
+
+/// Parses `repro`'s arguments (without the program name).
+fn parse(args: &[String]) -> Result<Command, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
+    let Some((sub, rest)) = args.split_first() else {
+        return Err("no subcommand given; try `repro run all` or `repro --help`".into());
+    };
+    type Build = fn(&mut Args) -> Result<Command, String>;
+    let build: Build = match sub.as_str() {
+        "run" => |a| {
+            Ok(Command::Run {
+                campaign: a.campaign()?,
+                record: a.record()?,
+                checkpoints: a.checkpoints()?,
+                conform: a.conform(),
+                selected: select(&std::mem::take(&mut a.positional))?,
+            })
+        },
+        "resume" => |a| {
+            let [snap] = a.positional("a checkpoint file")?;
+            Ok(Command::Resume {
+                snap: snap.into(),
+                conform: a.conform(),
+            })
+        },
+        "audit-compare" => |a| {
+            let [x, y] = a.positional("two audit-ladder files")?;
+            Ok(Command::AuditCompare(x.into(), y.into()))
+        },
+        "gate" => |a| {
+            Ok(Command::Gate {
+                out: a.out()?,
+                check: a.switch("--check"),
+            })
+        },
+        "fuzz" => |a| {
+            let [n] = a.positional("a case count: repro fuzz N")?;
+            Ok(Command::Fuzz {
+                cases: n
+                    .parse()
+                    .map_err(|_| format!("`repro fuzz` takes a case count, not `{n}`"))?,
+                seed: a.value("--seed")?.unwrap_or(1),
+                out: a.out()?,
+            })
+        },
+        "world" => |a| {
+            let cells: Option<String> = a.value("--cells")?;
+            Ok(Command::World {
+                campaign: a.campaign()?,
+                cells: match cells {
+                    Some(spec) => Some(grid(&spec).ok_or("--cells requires a grid like 3x3")?),
+                    None => None,
+                },
+                conform: a.conform(),
+            })
+        },
+        "fig2-check" => |a| Ok(Command::Fig2Check(a.fidelity()?)),
+        "cc" => |a| Ok(Command::Cc(a.campaign()?)),
+        "roc" => |a| Ok(Command::Roc(a.campaign()?)),
+        "intensity" => |a| {
+            Ok(Command::Intensity {
+                campaign: a.campaign()?,
+                points: a.value("--points")?,
+                checkpoints: a.checkpoints()?,
+            })
+        },
+        "list" => |_| Ok(Command::List),
+        other => {
+            return Err(match REMOVED.iter().find(|(old, _)| *old == other) {
+                Some((_, new)) => format!("`{other}` was removed; use `{new}`"),
+                None if other.starts_with('-') => {
+                    format!("expected a subcommand before `{other}`; see `repro --help`")
+                }
+                None if other == "all" || find(other).is_some() => {
+                    format!("unknown subcommand `{other}`; use `repro run {other}`")
+                }
+                None => format!("unknown subcommand `{other}`; see `repro --help`"),
+            })
+        }
+    };
+    let mut a = Args::split(sub, rest)?;
+    let cmd = build(&mut a)?;
+    a.finish()?;
+    Ok(cmd)
+}
+
+/// Parses a grid size like `3x3`.
+fn grid(spec: &str) -> Option<(usize, usize)> {
+    let (r, c) = spec.split_once('x')?;
+    let (r, c) = (r.trim().parse().ok()?, c.trim().parse().ok()?);
+    (r > 0 && c > 0).then_some((r, c))
+}
+
+/// The registry entry an experiment id names. Registry ids carry no zero
+/// padding, so `fig06` and `tab02` resolve to `fig6` and `tab2`.
+fn find(id: &str) -> Option<(&'static str, Generator)> {
+    let canonical = match id.find(|c: char| c.is_ascii_digit()) {
+        Some(i) => match id[i..].parse::<u64>() {
+            Ok(n) => format!("{}{n}", &id[..i]),
+            Err(_) => id.to_string(),
+        },
+        None => id.to_string(),
+    };
+    registry().into_iter().find(|(rid, _)| *rid == canonical)
+}
+
+/// The experiments `repro run` selects: every one for `all`, else each
+/// id in turn.
+fn select(ids: &[&str]) -> Result<Vec<(&'static str, Generator)>, String> {
+    if ids.is_empty() {
+        return Err("`repro run` requires `all` or experiment ids; see `repro list`".into());
+    }
+    if ids.contains(&"all") {
+        return Ok(registry());
+    }
+    ids.iter()
+        .map(|id| {
+            find(id).ok_or_else(|| {
+                let valid: Vec<&str> = registry().iter().map(|(rid, _)| *rid).collect();
+                format!(
+                    "unknown experiment id `{id}`; valid ids: all, {}",
+                    valid.join(", ")
+                )
+            })
+        })
+        .collect()
+}
 
 /// Per-experiment timing record for `bench_summary.json`.
 struct Timing {
@@ -78,17 +570,16 @@ struct Timing {
 
 fn write_summary(
     out_dir: &Path,
-    jobs: usize,
-    quick: bool,
+    fid: &Fidelity,
     timings: &[Timing],
     total_s: f64,
     profile: Option<&[(&'static str, obs::profile::SpanStat)]>,
 ) -> std::io::Result<()> {
     let mut s = String::from("{\n");
-    s.push_str(&format!("  \"jobs\": {jobs},\n"));
+    s.push_str(&format!("  \"jobs\": {},\n", fid.jobs));
     s.push_str(&format!(
         "  \"quality\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
+        if fid.quick { "quick" } else { "full" }
     ));
     s.push_str(&format!("  \"total_wall_s\": {total_s:.3},\n"));
     let total_events: u64 = timings.iter().map(|t| t.events).sum();
@@ -127,21 +618,6 @@ fn write_summary(
     std::fs::write(out_dir.join("bench_summary.json"), s)
 }
 
-/// Canonicalizes a user-supplied experiment id: registry ids carry no
-/// zero padding, so `fig06` and `tab02` resolve to `fig6` and `tab2`.
-fn normalize_id(id: &str) -> String {
-    match id.find(|c: char| c.is_ascii_digit()) {
-        Some(i) => {
-            let (prefix, digits) = id.split_at(i);
-            match digits.parse::<u64>() {
-                Ok(n) => format!("{prefix}{n}"),
-                Err(_) => id.to_string(),
-            }
-        }
-        None => id.to_string(),
-    }
-}
-
 /// Exports every report a recording campaign has accumulated so far into
 /// `out_dir/obs/<run-key>/`, in deterministic run-key order.
 fn export_obs(out_dir: &Path, campaign: &ObsCampaign) -> std::io::Result<usize> {
@@ -155,41 +631,269 @@ fn export_obs(out_dir: &Path, campaign: &ObsCampaign) -> std::io::Result<usize> 
     Ok(n)
 }
 
-/// Fidelity selected by `--quick`, with the seed list overridden by
-/// `--seeds N` (seeds 1..=N) when given.
-fn quality_for(quick: bool, seeds_override: Option<u64>) -> Quality {
-    let mut q = if quick {
-        Quality::quick()
-    } else {
-        Quality::full()
-    };
-    if let Some(n) = seeds_override {
-        q.seeds = (1..=n).collect();
-    }
-    q
+fn create_out(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("failed to create output directory {}: {e}", dir.display()))
 }
 
-/// The campaign checkpoint spec the flags select: resume from the
-/// campaign directory `resume`, or record into `dir` when either
-/// interval is set, or none.
-fn checkpoint_spec(
-    resume: Option<&Path>,
-    dir: &Path,
-    checkpoint_every: Option<u64>,
-    audit_every: Option<u64>,
-) -> Result<Option<greedy80211::CampaignSpec>, sim::SimError> {
-    if let Some(from) = resume {
-        return greedy80211::CampaignSpec::resume_from(from).map(Some);
+/// Prints a campaign's conformance verdict, one line per violation;
+/// `unit` names what each report covers (`run` or `cell`). Returns
+/// whether every report was clean.
+fn print_conform(reports: &[(Option<RunKey>, conform::ConformReport)], unit: &str) -> bool {
+    let runs = reports.len();
+    let violations: u64 = reports.iter().map(|(_, r)| r.violation_count()).sum();
+    let whitelisted: u64 = reports.iter().map(|(_, r)| r.whitelisted).sum();
+    if violations == 0 {
+        println!("  conform: {runs} {unit}(s) clean ({whitelisted} whitelist exemption(s))");
+        return true;
     }
-    Ok(
-        (checkpoint_every.is_some() || audit_every.is_some()).then(|| {
-            greedy80211::CampaignSpec::record(
-                dir,
-                checkpoint_every.map(sim::SimDuration::from_millis),
-                audit_every.map(sim::SimDuration::from_millis),
-            )
-        }),
-    )
+    println!("  conform: {violations} violation(s) across {runs} {unit}(s):");
+    for (key, report) in reports {
+        for v in &report.violations {
+            match key {
+                Some(k) => println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed),
+                None => println!("    {v}"),
+            }
+        }
+    }
+    false
+}
+
+const CHECKED: &str = ", conformance-checked";
+
+const VIOLATIONS_FOUND: &str = "invariant violations found; see the conform lines above";
+
+/// How `repro fuzz` tells the user to replay a violation from the
+/// checkpoint it was shrunk to.
+fn replay_hint(snap: &Path) -> String {
+    format!("resume --conform {}", snap.display())
+}
+
+/// How `repro fuzz` tells the user to rerun the campaign up to case
+/// `cases - 1`, when the violation left no checkpoint to replay.
+fn rerun_hint(cases: u64, seed: u64) -> String {
+    format!("fuzz {cases} --seed {seed}")
+}
+
+fn run(cmd: Command) -> Result<(), String> {
+    match cmd {
+        Command::Help => println!("{USAGE}"),
+        Command::List => registry().iter().for_each(|(id, _)| println!("{id}")),
+        Command::AuditCompare(a, b) => {
+            let divergence = greedy80211::audit::compare_files(&a, &b)
+                .map_err(|e| format!("audit-compare: {e}"))?;
+            println!("{}", greedy80211::audit::describe(&divergence));
+            if divergence.is_some() {
+                let (a, b) = (a.display(), b.display());
+                return Err(format!("audit ladders {a} and {b} diverge"));
+            }
+        }
+        Command::Resume { snap, conform } => resume(&snap, conform)?,
+        Command::Fuzz { cases, seed, out } => fuzz_cases(cases, seed, &out)?,
+        Command::Gate { out, check } => perf_gate(&out, check)?,
+        Command::Fig2Check(fid) => {
+            let jobs = fid.jobs;
+            println!("# fig2 identity check — direct vs 1×1-world, {jobs} job(s)\n");
+            println!("  {}", gr_bench::fig2_check(&fid.ctx())?);
+        }
+        Command::Cc(c) => cc(&c)?,
+        Command::Roc(c) => roc(&c)?,
+        Command::Intensity {
+            campaign,
+            points,
+            checkpoints,
+        } => intensity(&campaign, points, checkpoints.as_ref())?,
+        Command::World {
+            campaign,
+            cells,
+            conform,
+        } => world(&campaign, cells, conform)?,
+        Command::Run {
+            campaign,
+            selected,
+            record,
+            checkpoints,
+            conform,
+        } => experiments(&campaign, &selected, record, checkpoints.as_ref(), conform)?,
+    }
+    Ok(())
+}
+
+/// Prints where a campaign wrote its artifacts.
+fn print_paths(paths: &[PathBuf]) {
+    for path in paths {
+        println!("  -> {}", path.display());
+    }
+}
+
+/// Resumes one checkpoint file and prints the run. With a conform mode
+/// the checker rides along mid-stream (stream-dependent rules disarmed,
+/// protocol-timing rules live) — how a fuzz violation artifact is
+/// replayed.
+fn resume(snap: &Path, conform: Conform) -> Result<(), String> {
+    let job = (conform != Conform::Off).then(|| ::conform::ConformJob {
+        honor_whitelist: conform == Conform::Whitelisted,
+        ..::conform::ConformJob::new(None)
+    });
+    let instruments = greedy80211::Instruments {
+        conform: job.clone(),
+        ..Default::default()
+    };
+    let out = greedy80211::Run::resume_with(snap, &instruments)
+        .map_err(|e| format!("resume {}: {e}", snap.display()))?;
+    let (key, ms) = (&out.key, out.duration.as_nanos() / 1_000_000);
+    let (experiment, point, seed) = (&key.experiment, key.point, key.seed);
+    println!("resumed {experiment} (point {point}, seed {seed}) to {ms} ms of virtual time");
+    for i in 0..out.flows.len() {
+        println!("  flow {}: {:.3} Mb/s", i, out.goodput_mbps(i));
+    }
+    match job {
+        Some(job) if !print_conform(&job.drain(), "run") => Err(VIOLATIONS_FOUND.into()),
+        _ => Ok(()),
+    }
+}
+
+/// Generates, runs and shrinks `cases` fuzz cases, independent of the
+/// experiment registry.
+fn fuzz_cases(cases: u64, seed: u64, out: &Path) -> Result<(), String> {
+    create_out(out)?;
+    println!("# conformance fuzz — {cases} case(s), campaign seed {seed}\n");
+    let mut dirty = 0u64;
+    for i in 0..cases {
+        let case = fuzz::generate_case(seed, i);
+        let desc = case.desc.clone();
+        let v = fuzz::run_case(case, out).map_err(|e| format!("case {i}: {e}"))?;
+        let (events, whitelisted) = (v.events_checked, v.whitelisted);
+        if v.is_clean() {
+            println!("  case {i:>3} ok    {desc}  ({events} events, {whitelisted} whitelisted)");
+            continue;
+        }
+        dirty += 1;
+        println!("  case {i:>3} FAIL  {desc}");
+        let (n, first) = (v.violations.len(), &v.violations[0]);
+        println!("        {n} violation(s); first: {first}");
+        if let Some((lo, hi)) = v.bracket_ms {
+            let layer = v.layer.unwrap_or("?");
+            println!("        shrunk to [{lo}, {hi}) ms of virtual time, layer `{layer}`");
+        }
+        match v.intensity_bracket {
+            Some((_, 0.0)) => println!(
+                "        violates even with the attack scaled to zero (attack-independent)"
+            ),
+            Some((ilo, ihi)) => println!(
+                "        minimal violating intensity in ({ilo:.4}, {ihi:.4}] \
+                 of the case's attack strength"
+            ),
+            None => {}
+        }
+        match &v.artifact {
+            Some(p) => println!("        repro: repro {}", replay_hint(p)),
+            None => println!(
+                "        repro: repro {}  (case {i}; violation inside the first bracket)",
+                rerun_hint(i + 1, seed)
+            ),
+        }
+    }
+    let verdict = format!("{dirty} of {cases} case(s) violated an invariant");
+    println!("\n{verdict}");
+    if dirty > 0 {
+        return Err(verdict);
+    }
+    Ok(())
+}
+
+fn perf_gate(out: &Path, check: bool) -> Result<(), String> {
+    create_out(out)?;
+    let (subset, passes) = (gate::GATE_SUBSET, gate::GATE_PASSES);
+    println!(
+        "# perf gate — pinned subset {subset:?}, sequential, 1 seed, best of {passes} passes\n"
+    );
+    let report = gate::run_gate();
+    for st in &report.stats {
+        println!(
+            "  {:<6} {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event",
+            st.id,
+            st.wall_s,
+            st.events,
+            st.events_per_sec(),
+            st.ns_per_event()
+        );
+    }
+    println!(
+        "  total  {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event  (peak RSS {} KiB)",
+        report.total_wall_s(),
+        report.total_events(),
+        report.events_per_sec(),
+        report.ns_per_event(),
+        report.peak_rss_kib
+    );
+    println!(
+        "  conform pass: {:.3}s ({:+.1} % overhead), {} run(s), {} violation(s)",
+        report.conform_wall_s,
+        report.conform_overhead_pct(),
+        report.conform_runs,
+        report.conform_violations
+    );
+    for s in &report.smokes {
+        let note = if s.gated { "" } else { "  (report-only)" };
+        println!(
+            "  {:<13} smoke: {:>9.0} events/s{note}",
+            s.key, s.events_per_sec
+        );
+    }
+    let path = out.join(format!("BENCH_{}.json", report.date));
+    std::fs::write(&path, report.to_json())
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    println!("  -> {}", path.display());
+    if check {
+        let baseline = out.join("BENCH_BASELINE.json");
+        let throughput = gate::check_against_baseline(&report, &baseline, gate::GATE_TOLERANCE)?;
+        let conform = report.conform_check(gate::CONFORM_OVERHEAD_LIMIT_PCT)?;
+        println!("  {throughput}\n  {conform}");
+    }
+    Ok(())
+}
+
+fn cc(c: &Campaign) -> Result<(), String> {
+    let campaign = gr_bench::CcCampaign::new(c.fid.quality(), c.fid.jobs.get());
+    println!(
+        "# congestion-control zoo — {} controller(s) × {} attack(s), {} job(s)\n",
+        campaign.ccs.len(),
+        gr_bench::cc::ATTACKS.len(),
+        c.fid.jobs,
+    );
+    let t = Instant::now();
+    let report = campaign.run(&c.out).map_err(|e| format!("cc: {e}"))?;
+    print!("{}", report.matrix.render());
+    print_paths(&report.controller_csvs);
+    let matrix = c.out.join("cc_matrix.csv");
+    println!(
+        "  -> {} ({:.1}s)",
+        matrix.display(),
+        t.elapsed().as_secs_f64()
+    );
+    Ok(())
+}
+
+fn roc(c: &Campaign) -> Result<(), String> {
+    let campaign = gr_bench::RocCampaign::new(c.fid.quality(), c.fid.jobs.get());
+    println!(
+        "# detection science — {} detector cell(s) × {} adaptive load(s), {} job(s)\n",
+        gr_bench::roc::CELLS.len(),
+        gr_bench::roc::ADAPTIVE_LOADS_BPS.len(),
+        c.fid.jobs,
+    );
+    let t = Instant::now();
+    let roc_dir = c.out.join("roc");
+    let report = campaign.run(&roc_dir).map_err(|e| format!("roc: {e}"))?;
+    print!("{}", report.auc.render());
+    print!("{}", report.adaptive.render());
+    print!("{}", report.delays.render());
+    print_paths(&report.roc_csvs);
+    println!("  -> {}", report.obs_dir.display());
+    let auc = roc_dir.join("auc_summary.csv");
+    println!("  -> {} ({:.1}s)", auc.display(), t.elapsed().as_secs_f64());
+    Ok(())
 }
 
 /// Reports how many runs of a resumed campaign restored their own
@@ -201,831 +905,123 @@ fn print_resume_tally(ctx: &RunCtx) {
     }
 }
 
-/// Expands a leading subcommand (`run`, `gate`, `fuzz`, `world`, `cc`,
-/// `roc`) into the legacy flag spelling the single flag parser below
-/// understands. Anything else — including the old flag spellings, which
-/// remain hidden aliases — passes through untouched. Returns `Err` with
-/// an exit code for subcommands that refuse to run (`fuzz` without a
-/// case count).
-fn expand_subcommand(raw: Vec<String>) -> Result<Vec<String>, ExitCode> {
-    let prefixed = |flag: &str, rest: &[String]| {
-        let mut v = vec![flag.to_string()];
-        v.extend_from_slice(rest);
-        v
-    };
-    Ok(match raw.first().map(String::as_str) {
-        Some("run") => raw[1..].to_vec(),
-        Some("gate") => prefixed("--bench-gate", &raw[1..]),
-        Some("world") => prefixed("--world", &raw[1..]),
-        Some("cc") => prefixed("--cc", &raw[1..]),
-        Some("fuzz") => {
-            // `repro fuzz N [--seed K]`: the first bare integer is the
-            // case count; `--seed` maps to the legacy `--fuzz-seed`.
-            let mut v = Vec::new();
-            let mut count_seen = false;
-            let mut it = raw[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seed" => {
-                        v.push("--fuzz-seed".to_string());
-                        if let Some(k) = it.next() {
-                            v.push(k.clone());
-                        }
-                    }
-                    s if !count_seen && s.parse::<u64>().is_ok() => {
-                        count_seen = true;
-                        v.push("--fuzz".to_string());
-                        v.push(s.to_string());
-                    }
-                    s => v.push(s.to_string()),
-                }
-            }
-            if !count_seen {
-                eprintln!("usage: repro fuzz N [--seed K]");
-                return Err(ExitCode::FAILURE);
-            }
-            v
-        }
-        Some("roc") => prefixed("--roc", &raw[1..]),
-        Some("intensity") => prefixed("--intensity", &raw[1..]),
-        _ => raw,
-    })
+fn intensity(
+    c: &Campaign,
+    points: Option<NonZeroUsize>,
+    checkpoints: Option<&Checkpoints>,
+) -> Result<(), String> {
+    let mut campaign = gr_bench::IntensityCampaign::new(c.fid.quality(), c.fid.jobs.get());
+    if let Some(n) = points {
+        campaign = campaign.with_points(n.get());
+    }
+    let int_dir = c.out.join("intensity");
+    let mut ctx = c.fid.ctx();
+    if let Some(ck) = checkpoints {
+        ctx = ctx.with_checkpoints(ck.spec(&int_dir)?);
+    }
+    println!(
+        "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){}\n",
+        gr_bench::roc::CELLS.len(),
+        campaign.grid.len(),
+        c.fid.jobs,
+        Checkpoints::note(checkpoints),
+    );
+    let t = Instant::now();
+    let report = campaign
+        .run_with(&ctx, &int_dir)
+        .map_err(|e| format!("intensity: {e}"))?;
+    for table in &report.frontiers {
+        print!("{}", table.render());
+    }
+    print!("{}", report.knees.render());
+    for cf in &report.cells {
+        let (detector, mix) = (&cf.cell.detector, &cf.cell.mix);
+        let Some(k) = cf.knee else {
+            println!("  {detector}/{mix}: never reliably detectable on this grid");
+            continue;
+        };
+        let crossover = match cf.crossover {
+            Some((lo, hi)) => format!(", sequential-only regime [{lo:.2}, {hi:.2}]"),
+            None => String::new(),
+        };
+        println!("  {detector}/{mix}: minimal detectable intensity {k:.2}{crossover}");
+    }
+    print_paths(&report.csvs);
+    print_resume_tally(&ctx);
+    println!("  ({:.1}s)", t.elapsed().as_secs_f64());
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut quick = false;
-    let mut list = false;
-    let mut bench_gate = false;
-    let mut gate_check = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut jobs = runner::available_jobs();
-    let mut record = false;
-    let mut filter = obs::Filter::all();
-    let mut checkpoint_every: Option<u64> = None;
-    let mut audit_every: Option<u64> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut audit_compare: Option<(PathBuf, PathBuf)> = None;
-    let mut conform = false;
-    let mut conform_no_whitelist = false;
-    let mut world = false;
-    let mut cc_zoo = false;
-    let mut roc_campaign = false;
-    let mut intensity_campaign = false;
-    let mut intensity_points: Option<usize> = None;
-    let mut seeds_override: Option<u64> = None;
-    let mut cells: Option<(usize, usize)> = None;
-    let mut fig2_check = false;
-    let mut fuzz_n: Option<u64> = None;
-    let mut fuzz_seed: u64 = 1;
-    let mut ids: Vec<String> = Vec::new();
-    let argv = match expand_subcommand(std::env::args().skip(1).collect()) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let mut args = argv.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "-q" => quick = true,
-            "--list" | "-l" => list = true,
-            "--bench-gate" => bench_gate = true,
-            "--check" => gate_check = true,
-            "--record" => record = true,
-            "--conform" => conform = true,
-            "--conform-no-whitelist" => {
-                conform = true;
-                conform_no_whitelist = true;
-            }
-            "--world" => world = true,
-            "--cc" => cc_zoo = true,
-            "--roc" => roc_campaign = true,
-            "--intensity" => intensity_campaign = true,
-            "--points" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n > 0 => {
-                    intensity_points = Some(n);
-                    intensity_campaign = true;
-                }
-                _ => {
-                    eprintln!("--points requires a positive grid-point count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fig2-check" => fig2_check = true,
-            "--cells" => match args.next() {
-                Some(spec) => match spec
-                    .split_once('x')
-                    .map(|(r, c)| (r.trim().parse::<usize>(), c.trim().parse::<usize>()))
-                {
-                    Some((Ok(r), Ok(c))) if r > 0 && c > 0 => {
-                        cells = Some((r, c));
-                        world = true;
-                    }
-                    _ => {
-                        eprintln!("--cells requires a grid like 3x3");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => {
-                    eprintln!("--cells requires a grid like 3x3");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fuzz" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => fuzz_n = Some(n),
-                _ => {
-                    eprintln!("--fuzz requires a case count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fuzz-seed" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(k)) => fuzz_seed = k,
-                _ => {
-                    eprintln!("--fuzz-seed requires a 64-bit seed");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--record-filter" => match args.next() {
-                Some(spec) => match obs::Filter::parse(&spec) {
-                    Ok(f) => {
-                        filter = f;
-                        record = true;
-                    }
-                    Err(e) => {
-                        eprintln!("--record-filter: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => {
-                    eprintln!("--record-filter requires a spec (e.g. phy,mac or 0,3)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--experiment" | "-e" => match args.next() {
-                // Accepts a comma-separated list (`-e fig02,fig06,tab5`);
-                // each entry goes through the same zero-padded-id
-                // normalization as positional ids.
-                Some(list) => ids.extend(
-                    list.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from),
-                ),
-                None => {
-                    eprintln!("--experiment requires an id (see --list)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(ms)) => checkpoint_every = Some(ms),
-                _ => {
-                    eprintln!("--checkpoint-every requires an interval in ms of virtual time");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--audit-every" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(ms)) => audit_every = Some(ms),
-                _ => {
-                    eprintln!("--audit-every requires an interval in ms of virtual time");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--resume" => match args.next() {
-                Some(p) => resume = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--resume requires a checkpoint file or a campaign directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--audit-compare" => match (args.next(), args.next()) {
-                (Some(a), Some(b)) => {
-                    audit_compare = Some((PathBuf::from(a), PathBuf::from(b)));
-                }
-                _ => {
-                    eprintln!("--audit-compare requires two audit-ladder files");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" | "-o" => match args.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seeds" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n > 0 => seeds_override = Some(n),
-                _ => {
-                    eprintln!("--seeds requires a positive seed count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" | "-j" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => jobs = n,
-                _ => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro run [--quick] [--jobs N] [--out DIR] [--record] \
-                     [--record-filter SPEC]\n                 \
-                     [--checkpoint-every MS] [--audit-every MS] [--resume PATH] \
-                     (all | <id>...)\n       \
-                     repro gate [--check]\n       \
-                     repro fuzz N [--seed K]\n       \
-                     repro world [--cells RxC]\n       \
-                     repro cc\n       \
-                     repro roc\n       \
-                     repro intensity [--points N]\n       \
-                     repro --audit-compare A.audit B.audit\n       \
-                     repro --list\n\n  \
-                     Subcommands expand to the flag spellings they replaced \
-                     (gate = --bench-gate,\n  \
-                     fuzz N = --fuzz N, world = --world, cc = --cc); the old \
-                     flags remain accepted.\n\n  \
-                     --experiment IDS      select artifacts: one id or a comma-separated list\n                        \
-                     (same as positional ids; zero-padded forms accepted)\n  \
-                     --record              flight-record every run into DIR/obs/\n  \
-                     --record-filter SPEC  comma-separated layers (phy|mac|transport|net)\n                        \
-                     and/or node ids; implies --record\n  \
-                     --checkpoint-every MS freeze every run at each MS of virtual time\n                        \
-                     into DIR/checkpoints/\n  \
-                     --audit-every MS      record per-layer state-hash ladders into DIR/audit/\n  \
-                     --resume PATH         a campaign directory: resume every selected run from\n                        \
-                     its checkpoint (CSVs byte-identical to an uninterrupted\n                        \
-                     campaign); a .snap file: resume that one run and print it\n  \
-                     --audit-compare A B   diff two audit ladders; non-zero exit on divergence\n  \
-                     --conform             live 802.11 invariant checking on every run; non-zero\n                        \
-                     exit on any violation (also applies to --resume FILE)\n  \
-                     --conform-no-whitelist  same, but declared greedy quirks no longer exempt\n                        \
-                     their rules (greedy scenarios are expected to fail)\n  \
-                     --fuzz N              run N randomized scenarios under the checker; shrink\n                        \
-                     violations to a 10 ms bracket in DIR/conform/\n  \
-                     --fuzz-seed K         fuzz campaign seed (default 1); same N and K give\n                        \
-                     identical verdicts and byte-identical artifacts\n  \
-                     --world               multi-cell world campaign: sweep greedy density ×\n                        \
-                     grid size, per-cell CSVs into DIR/world-RxC-gK.csv\n  \
-                     --cells RxC           restrict --world to one grid size (implies --world)\n  \
-                     --seeds N             override the seed list with 1..=N (default: 1 seed\n                        \
-                     with --quick, 5 at full fidelity)\n  \
-                     --cc                  congestion-control zoo: sweep {{newreno,cubic,bbr,\n                        \
-                     newreno+hystart}} x {{honest,nav,spoof,fake}} into\n                        \
-                     DIR/cc_matrix.csv and DIR/cc-<controller>.csv\n  \
-                     --roc                 detection science: per-detector ROC frontiers and AUC,\n                        \
-                     load-adaptive threshold validation, CUSUM/SPRT detection\n                        \
-                     delays — CSVs into DIR/roc/\n  \
-                     --intensity           attack-intensity frontiers: honest/attacked pairs per\n                        \
-                     (detector, mix, intensity), knees and the windowed-vs-\n                        \
-                     sequential crossover — CSVs into DIR/intensity/; honors\n                        \
-                     --checkpoint-every / --audit-every / --resume DIR\n  \
-                     --points N            thin the intensity grid to N points, keeping both\n                        \
-                     endpoints (implies --intensity)\n  \
-                     --fig2-check          identity gate: fig2 via 1x1 worlds must match the\n                        \
-                     direct fig2 CSV byte-for-byte\n  \
-                     --bench-gate          time the pinned perf-gate subset, write BENCH_<date>.json\n  \
-                     --check               with --bench-gate: fail on regression vs BENCH_BASELINE.json"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => ids.push(other.to_string()),
-        }
+fn world(c: &Campaign, cells: Option<(usize, usize)>, conform: Conform) -> Result<(), String> {
+    let mut campaign = gr_bench::WorldCampaign::new(c.fid.quality(), c.fid.jobs.get());
+    if let Some((rows, cols)) = cells {
+        campaign = campaign.with_grid(rows, cols);
     }
+    campaign.conform = conform != Conform::Off;
+    campaign.honor_whitelist = conform != Conform::NoWhitelist;
+    println!(
+        "# multi-cell world campaign — {} grid(s) × {} greedy densities, {} job(s){}\n",
+        campaign.grids.len(),
+        campaign.greedy_fracs.len(),
+        c.fid.jobs,
+        if campaign.conform { CHECKED } else { "" },
+    );
+    let t = Instant::now();
+    let report = campaign.run(&c.out).map_err(|e| format!("world: {e}"))?;
+    print!("{}", report.summary.render());
+    report
+        .summary
+        .write_csv(&c.out)
+        .map_err(|e| format!("failed to write world.csv: {e}"))?;
+    print_paths(&report.cell_csvs);
+    let summary = c.out.join("world.csv");
+    println!(
+        "  -> {} ({:.1}s)",
+        summary.display(),
+        t.elapsed().as_secs_f64()
+    );
+    if campaign.conform && !print_conform(&report.conform_reports, "cell") {
+        return Err(VIOLATIONS_FOUND.into());
+    }
+    Ok(())
+}
 
-    if let Some((a, b)) = &audit_compare {
-        return match greedy80211::audit::compare_files(a, b) {
-            Ok(divergence) => {
-                println!("{}", greedy80211::audit::describe(&divergence));
-                if divergence.is_none() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("--audit-compare: {e}");
-                ExitCode::FAILURE
-            }
-        };
+/// `repro run`: regenerates the selected experiments into `c.out`.
+fn experiments(
+    c: &Campaign,
+    selected: &[(&'static str, Generator)],
+    record: Option<obs::Filter>,
+    checkpoints: Option<&Checkpoints>,
+    conform: Conform,
+) -> Result<(), String> {
+    let mut ctx = c.fid.ctx();
+    if let Some(ck) = checkpoints {
+        ctx = ctx.with_checkpoints(ck.spec(&c.out)?);
     }
-
-    // Fuzz mode: generate + run + shrink, independent of the experiment
-    // registry.
-    if let Some(n) = fuzz_n {
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!(
-                "failed to create output directory {}: {e}",
-                out_dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("# conformance fuzz — {n} case(s), campaign seed {fuzz_seed}\n");
-        let mut dirty = 0u64;
-        for i in 0..n {
-            let case = fuzz::generate_case(fuzz_seed, i);
-            let desc = case.desc.clone();
-            match fuzz::run_case(case, &out_dir) {
-                Ok(v) if v.is_clean() => {
-                    println!(
-                        "  case {i:>3} ok    {desc}  ({} events, {} whitelisted)",
-                        v.events_checked, v.whitelisted
-                    );
-                }
-                Ok(v) => {
-                    dirty += 1;
-                    println!("  case {i:>3} FAIL  {desc}");
-                    println!(
-                        "        {} violation(s); first: {}",
-                        v.violations.len(),
-                        v.violations[0]
-                    );
-                    if let Some((lo, hi)) = v.bracket_ms {
-                        println!(
-                            "        shrunk to [{lo}, {hi}) ms of virtual time, layer `{}`",
-                            v.layer.unwrap_or("?")
-                        );
-                    }
-                    if let Some((ilo, ihi)) = v.intensity_bracket {
-                        if ihi == 0.0 {
-                            println!(
-                                "        violates even with the attack scaled to zero \
-                                 (attack-independent)"
-                            );
-                        } else {
-                            println!(
-                                "        minimal violating intensity in ({ilo:.4}, {ihi:.4}] \
-                                 of the case's attack strength"
-                            );
-                        }
-                    }
-                    match &v.artifact {
-                        Some(p) => {
-                            println!("        repro: repro --conform --resume {}", p.display())
-                        }
-                        None => println!(
-                            "        repro: repro --fuzz {} --fuzz-seed {fuzz_seed}  \
-                             (case {i}; violation inside the first bracket)",
-                            i + 1
-                        ),
-                    }
-                }
-                Err(e) => {
-                    eprintln!("  case {i}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        println!("\n{} of {n} case(s) violated an invariant", dirty);
-        return if dirty == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    // A .snap file resumes one run directly; a directory switches the
-    // whole campaign into resume mode (handled below via RunCtx). With
-    // --conform the checker rides along mid-stream (stream-dependent
-    // rules disarmed, protocol-timing rules live) — how a fuzz
-    // violation artifact is replayed.
-    if let Some(path) = resume.as_ref().filter(|p| p.is_file()) {
-        let job = conform.then(|| {
-            let j = ::conform::ConformJob::new(None);
-            if conform_no_whitelist {
-                j.without_whitelist()
-            } else {
-                j
-            }
-        });
-        let instruments = greedy80211::Instruments {
-            conform: job.clone(),
-            ..Default::default()
-        };
-        return match greedy80211::Run::resume_with(path, &instruments) {
-            Ok(out) => {
-                println!(
-                    "resumed {} (point {}, seed {}) to {} ms of virtual time",
-                    out.key.experiment,
-                    out.key.point,
-                    out.key.seed,
-                    out.duration.as_nanos() / 1_000_000
-                );
-                for i in 0..out.flows.len() {
-                    println!("  flow {}: {:.3} Mb/s", i, out.goodput_mbps(i));
-                }
-                let mut failed = false;
-                if let Some(job) = job {
-                    for (_, report) in job.drain() {
-                        if report.is_clean() {
-                            println!(
-                                "  conform: clean ({} events, {} whitelisted)",
-                                report.events_checked, report.whitelisted
-                            );
-                        } else {
-                            failed = true;
-                            for v in &report.violations {
-                                println!("  conform: {v}");
-                            }
-                        }
-                    }
-                }
-                if failed {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("--resume: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if fig2_check {
-        let quality = quality_for(quick, seeds_override);
-        let ctx = RunCtx::with_jobs(quality, jobs);
-        println!(
-            "# fig2 identity check — direct vs 1×1-world, {} job(s)\n",
-            jobs
-        );
-        return match gr_bench::fig2_check(&ctx) {
-            Ok(msg) => {
-                println!("  {msg}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("  {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if cc_zoo {
-        let quality = quality_for(quick, seeds_override);
-        let campaign = gr_bench::CcCampaign::new(quality, jobs);
-        println!(
-            "# congestion-control zoo — {} controller(s) × {} attack(s), {} job(s)\n",
-            campaign.ccs.len(),
-            gr_bench::cc::ATTACKS.len(),
-            jobs,
-        );
-        let t = Instant::now();
-        let report = match campaign.run(&out_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--cc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.matrix.render());
-        for path in &report.controller_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!(
-            "  -> {} ({:.1}s)",
-            out_dir.join("cc_matrix.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if intensity_campaign {
-        let quality = quality_for(quick, seeds_override);
-        let mut campaign = gr_bench::IntensityCampaign::new(quality.clone(), jobs);
-        if let Some(n) = intensity_points {
-            campaign = campaign.with_points(n);
-        }
-        let int_dir = out_dir.join("intensity");
-        let mut ctx = RunCtx::with_jobs(quality, jobs);
-        match checkpoint_spec(resume.as_deref(), &int_dir, checkpoint_every, audit_every) {
-            Ok(Some(spec)) => ctx = ctx.with_checkpoints(spec),
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("--resume: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        println!(
-            "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){}\n",
-            gr_bench::roc::CELLS.len(),
-            campaign.grid.len(),
-            jobs,
-            if resume.is_some() {
-                ", resuming from checkpoints"
-            } else if ctx.checkpoint.is_some() {
-                ", checkpointing"
-            } else {
-                ""
-            },
-        );
-        let t = Instant::now();
-        let report = match campaign.run_with(&ctx, &int_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--intensity: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for table in &report.frontiers {
-            print!("{}", table.render());
-        }
-        print!("{}", report.knees.render());
-        for cf in &report.cells {
-            match cf.knee {
-                Some(k) => println!(
-                    "  {}/{}: minimal detectable intensity {k:.2}{}",
-                    cf.cell.detector,
-                    cf.cell.mix,
-                    match cf.crossover {
-                        Some((lo, hi)) => {
-                            format!(", sequential-only regime [{lo:.2}, {hi:.2}]")
-                        }
-                        None => String::new(),
-                    },
-                ),
-                None => println!(
-                    "  {}/{}: never reliably detectable on this grid",
-                    cf.cell.detector, cf.cell.mix
-                ),
-            }
-        }
-        for path in &report.csvs {
-            println!("  -> {}", path.display());
-        }
-        print_resume_tally(&ctx);
-        println!("  ({:.1}s)", t.elapsed().as_secs_f64());
-        return ExitCode::SUCCESS;
-    }
-
-    if roc_campaign {
-        let quality = quality_for(quick, seeds_override);
-        let campaign = gr_bench::RocCampaign::new(quality, jobs);
-        println!(
-            "# detection science — {} detector cell(s) × {} adaptive load(s), {} job(s)\n",
-            gr_bench::roc::CELLS.len(),
-            gr_bench::roc::ADAPTIVE_LOADS_BPS.len(),
-            jobs,
-        );
-        let t = Instant::now();
-        let roc_dir = out_dir.join("roc");
-        let report = match campaign.run(&roc_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--roc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.auc.render());
-        print!("{}", report.adaptive.render());
-        print!("{}", report.delays.render());
-        for path in &report.roc_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!("  -> {}", report.obs_dir.display());
-        println!(
-            "  -> {} ({:.1}s)",
-            roc_dir.join("auc_summary.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if world {
-        let quality = quality_for(quick, seeds_override);
-        let mut campaign = gr_bench::WorldCampaign::new(quality, jobs);
-        if let Some((r, c)) = cells {
-            campaign = campaign.with_grid(r, c);
-        }
-        campaign.conform = conform;
-        campaign.honor_whitelist = !conform_no_whitelist;
-        println!(
-            "# multi-cell world campaign — {} grid(s) × {} greedy densities, {} job(s){}\n",
-            campaign.grids.len(),
-            campaign.greedy_fracs.len(),
-            jobs,
-            if conform { ", conformance-checked" } else { "" },
-        );
-        let t = Instant::now();
-        let report = match campaign.run(&out_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--world: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.summary.render());
-        if let Err(e) = report.summary.write_csv(&out_dir) {
-            eprintln!("failed to write world.csv: {e}");
-            return ExitCode::FAILURE;
-        }
-        for path in &report.cell_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!(
-            "  -> {} ({:.1}s)",
-            out_dir.join("world.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        if conform {
-            let runs = report.conform_reports.len();
-            let violations = report.conform_violations();
-            let whitelisted: u64 = report
-                .conform_reports
-                .iter()
-                .map(|(_, r)| r.whitelisted)
-                .sum();
-            if violations == 0 {
-                println!("  conform: {runs} cell(s) clean ({whitelisted} whitelist exemption(s))");
-            } else {
-                println!("  conform: {violations} violation(s) across {runs} cell(s):");
-                for (key, r) in &report.conform_reports {
-                    for v in &r.violations {
-                        match key {
-                            Some(k) => {
-                                println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed)
-                            }
-                            None => println!("    {v}"),
-                        }
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if bench_gate {
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!(
-                "failed to create output directory {}: {e}",
-                out_dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "# perf gate — pinned subset {:?}, sequential, 1 seed, best of {} passes\n",
-            gate::GATE_SUBSET,
-            gate::GATE_PASSES
-        );
-        let report = gate::run_gate();
-        for st in &report.stats {
-            println!(
-                "  {:<6} {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event",
-                st.id,
-                st.wall_s,
-                st.events,
-                st.events_per_sec(),
-                st.ns_per_event()
-            );
-        }
-        println!(
-            "  total  {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event  (peak RSS {} KiB)",
-            report.total_wall_s(),
-            report.total_events(),
-            report.events_per_sec(),
-            report.ns_per_event(),
-            report.peak_rss_kib
-        );
-        println!(
-            "  conform pass: {:.3}s ({:+.1} % overhead), {} run(s), {} violation(s)",
-            report.conform_wall_s,
-            report.conform_overhead_pct(),
-            report.conform_runs,
-            report.conform_violations
-        );
-        println!(
-            "  world smoke: {:.0} events/s at 1 cell, {:.0} events/s at 3x3 co-channel cells",
-            report.world.cells1_events_per_sec, report.world.cells9_events_per_sec
-        );
-        println!(
-            "  cc smoke: {:.0} events/s under cubic, {:.0} events/s under bbr",
-            report.cc.cubic_events_per_sec, report.cc.bbr_events_per_sec
-        );
-        println!(
-            "  sustained: {:.0} events/s (8-station saturating hotspot)",
-            report.sustained_events_per_sec
-        );
-        println!(
-            "  roc smoke: {:.0} events/s (pinned detection-science campaign)",
-            report.roc_events_per_sec
-        );
-        println!(
-            "  intensity smoke: {:.0} events/s (two-point attack-intensity frontier)",
-            report.intensity_events_per_sec
-        );
-        let path = out_dir.join(format!("BENCH_{}.json", report.date));
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("  -> {}", path.display());
-        if gate_check {
-            let baseline = out_dir.join("BENCH_BASELINE.json");
-            match gate::check_against_baseline(&report, &baseline, gate::GATE_TOLERANCE) {
-                Ok(msg) => println!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("  {msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match report.conform_check(gate::CONFORM_OVERHEAD_LIMIT_PCT) {
-                Ok(msg) => println!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("  {msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let reg = registry();
-    if list {
-        for (id, _) in &reg {
-            println!("{id}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if ids.is_empty() {
-        eprintln!("no experiments selected; try `repro all` or `repro --list`");
-        return ExitCode::FAILURE;
-    }
-    let selected: Vec<&(&str, gr_bench::Generator)> = if ids.iter().any(|i| i == "all") {
-        reg.iter().collect()
-    } else {
-        let mut sel = Vec::new();
-        for id in &ids {
-            let canonical = normalize_id(id);
-            match reg.iter().find(|(rid, _)| *rid == canonical) {
-                Some(entry) => sel.push(entry),
-                None => {
-                    let valid: Vec<&str> = reg.iter().map(|(rid, _)| *rid).collect();
-                    eprintln!(
-                        "unknown experiment id `{id}`; valid ids: all, {}",
-                        valid.join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        sel
-    };
-
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!(
-            "failed to create output directory {}: {e}",
-            out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let quality = quality_for(quick, seeds_override);
-    let campaign = record.then(|| {
+    create_out(&c.out)?;
+    let obs_camp = record.map(|filter| {
         obs::profile::reset();
         obs::profile::set_enabled(true);
         ObsCampaign::new(obs::ObsSpec {
-            filter: filter.clone(),
+            filter,
             ..obs::ObsSpec::default()
         })
     });
-    let mut ctx = RunCtx::with_jobs(quality, jobs);
-    if let Some(camp) = &campaign {
+    if let Some(camp) = &obs_camp {
         ctx = ctx.with_record(camp.clone());
     }
-    let conform_camp = conform.then(|| {
-        let c = ConformCampaign::new();
-        if conform_no_whitelist {
-            c.without_whitelist()
-        } else {
-            c
-        }
-    });
-    if let Some(c) = &conform_camp {
-        ctx = ctx.with_conform(c.clone());
-    }
-    let checkpointing = checkpoint_every.is_some() || audit_every.is_some();
-    match checkpoint_spec(resume.as_deref(), &out_dir, checkpoint_every, audit_every) {
-        Ok(Some(spec)) => ctx = ctx.with_checkpoints(spec),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("--resume: {e}");
-            return ExitCode::FAILURE;
-        }
+    let conform_camp = conform.campaign();
+    if let Some(camp) = &conform_camp {
+        ctx = ctx.with_conform(camp.clone());
     }
     println!(
         "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{}\n",
         selected.len(),
-        if quick { "quick" } else { "full" },
-        jobs,
-        if record { ", recording" } else { "" },
-        if conform { ", conformance-checked" } else { "" },
-        if resume.is_some() {
-            ", resuming from checkpoints"
-        } else if checkpointing {
-            ", checkpointing"
-        } else {
-            ""
-        },
+        if c.fid.quick { "quick" } else { "full" },
+        c.fid.jobs,
+        obs_camp.as_ref().map_or("", |_| ", recording"),
+        conform_camp.as_ref().map_or("", |_| CHECKED),
+        Checkpoints::note(checkpoints),
     );
     let t_all = Instant::now();
     let mut timings = Vec::new();
@@ -1037,50 +1033,28 @@ fn main() -> ExitCode {
         let used = stats::snapshot().since(before);
         let wall_s = t.elapsed().as_secs_f64();
         print!("{}", experiment.render());
-        match experiment.write_csv(&out_dir) {
-            Ok(()) => println!(
-                "  -> {} ({:.1}s, {:.0} events/s)\n",
-                out_dir.join(format!("{id}.csv")).display(),
-                wall_s,
-                used.events_processed as f64 / wall_s.max(1e-9),
-            ),
-            Err(e) => {
-                eprintln!("failed to write CSV for {id}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(camp) = &campaign {
-            match export_obs(&out_dir, camp) {
-                Ok(0) => {}
-                Ok(n) => println!("  -> {} ({n} run(s))\n", out_dir.join("obs").display()),
-                Err(e) => {
-                    eprintln!("failed to write obs artifacts for {id}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        experiment
+            .write_csv(&c.out)
+            .map_err(|e| format!("failed to write CSV for {id}: {e}"))?;
+        let (csv, eps) = (
+            c.out.join(format!("{id}.csv")),
+            used.events_processed as f64,
+        );
+        println!(
+            "  -> {} ({wall_s:.1}s, {:.0} events/s)\n",
+            csv.display(),
+            eps / wall_s.max(1e-9)
+        );
+        if let Some(camp) = &obs_camp {
+            let n = export_obs(&c.out, camp)
+                .map_err(|e| format!("failed to write obs artifacts for {id}: {e}"))?;
+            if n > 0 {
+                println!("  -> {} ({n} run(s))\n", c.out.join("obs").display());
             }
         }
         if let Some(camp) = &conform_camp {
-            let reports = camp.take_reports();
-            let runs = reports.len();
-            let violations: u64 = reports.iter().map(|(_, r)| r.violation_count()).sum();
-            let whitelisted: u64 = reports.iter().map(|(_, r)| r.whitelisted).sum();
-            if violations == 0 {
-                println!("  conform: {runs} run(s) clean ({whitelisted} whitelist exemption(s))\n");
-            } else {
-                conform_failed = true;
-                println!("  conform: {violations} violation(s) across {runs} run(s):");
-                for (key, report) in &reports {
-                    for v in &report.violations {
-                        match key {
-                            Some(k) => {
-                                println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed)
-                            }
-                            None => println!("    {v}"),
-                        }
-                    }
-                }
-                println!();
-            }
+            conform_failed |= !print_conform(&camp.take_reports(), "run");
+            println!();
         }
         timings.push(Timing {
             id: id.to_string(),
@@ -1092,15 +1066,147 @@ fn main() -> ExitCode {
     let total_s = t_all.elapsed().as_secs_f64();
     print_resume_tally(&ctx);
     println!("total: {total_s:.1}s");
-    let profile = campaign.as_ref().map(|_| obs::profile::snapshot());
-    if let Err(e) = write_summary(&out_dir, jobs, quick, &timings, total_s, profile.as_deref()) {
-        eprintln!("failed to write bench_summary.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("  -> {}", out_dir.join("bench_summary.json").display());
+    let profile = obs_camp.as_ref().map(|_| obs::profile::snapshot());
+    write_summary(&c.out, &c.fid, &timings, total_s, profile.as_deref())
+        .map_err(|e| format!("failed to write bench_summary.json: {e}"))?;
+    println!("  -> {}", c.out.join("bench_summary.json").display());
     if conform_failed {
-        eprintln!("invariant violations found; see the conform lines above");
-        return ExitCode::FAILURE;
+        return Err(VIOLATIONS_FOUND.into());
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Splits a shell command line into words: whitespace outside quotes
+    /// separates, quotes group, and the words end at a redirection, pipe
+    /// or command separator.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote) = (Vec::new(), String::new(), None);
+        let mut started = false;
+        for ch in line.chars() {
+            match (quote, ch) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '"' | '\'') => {
+                    quote = Some(ch);
+                    started = true;
+                }
+                (None, c) if c.is_whitespace() => {
+                    if started {
+                        words.push(std::mem::take(&mut word));
+                        started = false;
+                    }
+                }
+                (None, c) => {
+                    word.push(c);
+                    started = true;
+                }
+            }
+        }
+        if started {
+            words.push(word);
+        }
+        let end = words
+            .iter()
+            .position(|w| {
+                w.starts_with('>')
+                    || w.starts_with("2>")
+                    || w.ends_with(';')
+                    || ["|", "&&", "||"].contains(&w.as_str())
+            })
+            .unwrap_or(words.len());
+        words.truncate(end);
+        words
+    }
+
+    /// Every `repro` argument list in `text`: what follows `--bin repro --`
+    /// or a line-leading `repro `, with `\` continuations joined and
+    /// `# comments` dropped. In markdown only fenced code blocks count.
+    fn repro_lines(text: &str, markdown: bool) -> Vec<String> {
+        let mut joined = Vec::new();
+        let mut pending = String::new();
+        let mut fenced = !markdown;
+        for line in text.lines() {
+            if markdown && line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if !fenced {
+                continue;
+            }
+            match line.trim_end().strip_suffix('\\') {
+                Some(head) => pending.push_str(head),
+                None => {
+                    pending.push_str(line);
+                    joined.push(std::mem::take(&mut pending));
+                }
+            }
+        }
+        joined
+            .iter()
+            .filter_map(|line| {
+                let line = match line.find(" #") {
+                    Some(i) => &line[..i],
+                    None => line,
+                };
+                if let Some((_, args)) = line.split_once("--bin repro --") {
+                    return Some(args.to_string());
+                }
+                line.trim_start().strip_prefix("repro ").map(str::to_string)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let docs = [
+            ("README.md", include_str!("../../../../README.md"), true),
+            (
+                "EXPERIMENTS.md",
+                include_str!("../../../../EXPERIMENTS.md"),
+                true,
+            ),
+            ("DESIGN.md", include_str!("../../../../DESIGN.md"), true),
+            ("ci.sh", include_str!("../../../../ci.sh"), false),
+        ];
+        let (mut checked, mut broken) = (0, Vec::new());
+        for (name, text, markdown) in docs {
+            for line in repro_lines(text, markdown) {
+                if let Err(e) = parse(&shell_words(&line)) {
+                    broken.push(format!("{name}: `repro {}`: {e}", line.trim()));
+                }
+                checked += 1;
+            }
+        }
+        assert!(broken.is_empty(), "{}", broken.join("\n"));
+        assert!(
+            checked >= 40,
+            "only {checked} documented command lines found"
+        );
+    }
+
+    #[test]
+    fn fuzz_repro_hints_parse() {
+        for hint in [
+            replay_hint(Path::new("results/conform/violation-fuzz-p0007-s0001.snap")),
+            rerun_hint(8, 7),
+        ] {
+            let args = shell_words(&hint);
+            assert!(parse(&args).is_ok(), "`repro {hint}` does not parse");
+        }
+    }
 }

@@ -1,18 +1,23 @@
 //! Performance gate: a pinned subset of experiments run as a throughput
 //! benchmark, with a committed baseline to regress against.
 //!
-//! `repro --bench-gate` runs [`GATE_SUBSET`] sequentially at a fidelity
+//! `repro gate` runs [`GATE_SUBSET`] sequentially at a fidelity
 //! pinned *here* (deliberately not [`Quality::quick`], so tuning the
 //! smoke-test fidelity can never silently move the gate), writes
 //! `BENCH_<date>.json` next to `bench_summary.json`, and — with
 //! `--check` — compares simulator event throughput against the committed
 //! `BENCH_BASELINE.json`, failing on a regression beyond the tolerance
-//! band. Everything is wall-clock-sequential and single-threaded so the
+//! band. The [`SMOKES`] table adds pinned workloads beyond the subset —
+//! worlds, congestion controllers, a sustained hotspot, the roc and
+//! intensity campaigns — each reported as events/s under its own key and
+//! gated in the same band when marked so and the baseline carries the
+//! key. Everything is wall-clock-sequential and single-threaded so the
 //! numbers are comparable on a 1-core CI container.
 
 use std::path::Path;
 use std::time::Instant;
 
+use greedy80211::CcConfig;
 use net::stats;
 
 use crate::{registry, Quality, RunCtx};
@@ -22,12 +27,12 @@ use crate::{registry, Quality, RunCtx};
 /// mixed topologies with GRC attached (`tab5`).
 pub const GATE_SUBSET: &[&str] = &["fig2", "fig6", "tab5"];
 
-/// Relative throughput loss tolerated by `--bench-gate --check` before
+/// Relative throughput loss tolerated by `repro gate --check` before
 /// the gate fails (0.25 = fail when >25 % slower than baseline).
 pub const GATE_TOLERANCE: f64 = 0.25;
 
 /// Largest wall-clock overhead (percent) the live conformance checker
-/// may add to the gate subset before `--bench-gate --check` fails.
+/// may add to the gate subset before `repro gate --check` fails.
 /// Both sides of the ratio are best-of-[`GATE_PASSES`] measurements
 /// (see [`run_gate`]), which strips most scheduling noise; the
 /// remaining budget covers the residual jitter of two sub-second
@@ -96,58 +101,58 @@ pub struct GateReport {
     pub conform_runs: u64,
     /// Invariant violations found across those runs (must be 0).
     pub conform_violations: u64,
-    /// Throughput of the pinned multi-cell world smoke (see
-    /// [`world_smoke`]).
-    pub world: WorldSmoke,
-    /// Throughput of the pinned congestion-controller smoke (see
-    /// [`cc_smoke`]).
-    pub cc: CcSmoke,
-    /// Events/s of the pinned sustained-throughput workload (see
-    /// [`sustained_smoke`]): a saturating many-flow hotspot that keeps
-    /// the frame arena, the interferer fold and the FER path hot for the
-    /// whole run — the netbench-style figure the data-oriented hot path
-    /// is tuned against.
-    pub sustained_events_per_sec: f64,
-    /// Events/s of the pinned detection-science smoke (see
-    /// [`roc_smoke`]): a tiny `repro roc` campaign end to end — paired
-    /// honest/greedy runs with windowed guard statistics, the offline
-    /// ROC sweep, the adaptive-threshold replay and the sequential
-    /// detectors. Catches a regression in the guard window tracking or
-    /// the detsci evaluation path that the figure subset never touches.
-    pub roc_events_per_sec: f64,
-    /// Events/s of the pinned intensity-frontier smoke (see
-    /// [`intensity_smoke`]): a two-point `repro intensity` campaign end
-    /// to end — split honest/attacked jobs per intensity, the knee and
-    /// crossover evaluation, the frontier CSVs. Catches a regression in
-    /// the intensity-sweep path (per-class measurement, axis scaling)
-    /// that the full-strength roc smoke never exercises.
-    pub intensity_events_per_sec: f64,
+    /// Events/s of the pinned smoke workloads, in [`SMOKES`] order.
+    pub smokes: Vec<Smoke>,
 }
 
-/// Event throughput of the non-default congestion controllers on the
-/// gate's TCP template. The NewReno path is what `fig6` already times;
-/// these two catch a hot-path regression inside the CUBIC window curve
-/// or the BBR filter bank, which the NewReno-only subset would miss.
+/// Event throughput of one pinned smoke workload.
 #[derive(Debug)]
-pub struct CcSmoke {
-    /// Events/s of the pinned TCP scenario under CUBIC.
-    pub cubic_events_per_sec: f64,
-    /// Events/s of the pinned TCP scenario under BBR.
-    pub bbr_events_per_sec: f64,
+pub struct Smoke {
+    /// Name; `BENCH_<date>.json` carries it as `<key>_events_per_sec`.
+    pub key: &'static str,
+    /// Simulator events per wall-clock second.
+    pub events_per_sec: f64,
+    /// Whether `--check` gates it against the baseline; report-only
+    /// otherwise.
+    pub gated: bool,
 }
 
-/// Event throughput of a pinned world smoke at two grid sizes: the
-/// cells-9 figure exposes the lockstep/exchange overhead relative to a
-/// single cell on the same template, so a regression in the world layer
-/// shows up in `BENCH_<date>.json` even though `--check` gates only the
-/// single-network subset.
-#[derive(Debug)]
-pub struct WorldSmoke {
-    /// Events/s of a 1×1 world (single cell through the lockstep path).
-    pub cells1_events_per_sec: f64,
-    /// Events/s of a 3×3 co-channel world.
-    pub cells9_events_per_sec: f64,
-}
+/// Runs one smoke workload and returns its simulator events per second.
+pub type SmokeTiming = fn() -> f64;
+
+/// The smoke workloads, in run and `BENCH_<date>.json` key order: key,
+/// whether `--check` gates it, and its timing.
+///
+/// - `world_cells1`/`world_cells9` ([`world_smoke`]): the 3×3 figure
+///   exposes the lockstep/exchange overhead relative to a single cell on
+///   the same template. Report-only: `--check` gates the single-network
+///   workloads.
+/// - `cc_cubic`/`cc_bbr` ([`cc_smoke`]): the non-default congestion
+///   controllers on the gate's TCP template. The NewReno path is what
+///   `fig6` already times; these catch a hot-path regression inside the
+///   CUBIC window curve or the BBR filter bank.
+/// - `sustained` ([`sustained_smoke`]): a saturating many-flow hotspot
+///   that keeps the frame arena, the interferer fold and the FER path hot
+///   for the whole run — the netbench-style figure the data-oriented hot
+///   path is tuned against.
+/// - `roc` ([`roc_smoke`]): a tiny `repro roc` campaign end to end —
+///   paired honest/greedy runs with windowed guard statistics, the
+///   offline ROC sweep, the adaptive-threshold replay and the sequential
+///   detectors, a path the figure subset never touches.
+/// - `intensity` ([`intensity_smoke`]): a two-point `repro intensity`
+///   campaign end to end — split honest/attacked jobs per intensity, the
+///   knee and crossover evaluation, the frontier CSVs: the per-class
+///   measurement and axis scaling the full-strength roc smoke never
+///   exercises.
+pub const SMOKES: &[(&str, bool, SmokeTiming)] = &[
+    ("world_cells1", false, || world_smoke(1, 1)),
+    ("world_cells9", false, || world_smoke(3, 3)),
+    ("cc_cubic", true, || cc_smoke(CcConfig::cubic())),
+    ("cc_bbr", true, || cc_smoke(CcConfig::bbr())),
+    ("sustained", true, sustained_smoke),
+    ("roc", true, roc_smoke),
+    ("intensity", true, intensity_smoke),
+];
 
 impl GateReport {
     /// Total events across the subset.
@@ -241,34 +246,12 @@ impl GateReport {
             "  \"conform_violations\": {},\n",
             self.conform_violations
         ));
-        s.push_str(&format!(
-            "  \"world_cells1_events_per_sec\": {:.0},\n",
-            self.world.cells1_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"world_cells9_events_per_sec\": {:.0},\n",
-            self.world.cells9_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"cc_cubic_events_per_sec\": {:.0},\n",
-            self.cc.cubic_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"cc_bbr_events_per_sec\": {:.0},\n",
-            self.cc.bbr_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"sustained_events_per_sec\": {:.0},\n",
-            self.sustained_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"roc_events_per_sec\": {:.0},\n",
-            self.roc_events_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"intensity_events_per_sec\": {:.0},\n",
-            self.intensity_events_per_sec
-        ));
+        for smoke in &self.smokes {
+            s.push_str(&format!(
+                "  \"{}_events_per_sec\": {:.0},\n",
+                smoke.key, smoke.events_per_sec
+            ));
+        }
         s.push_str("  \"experiments\": [\n");
         for (i, st) in self.stats.iter().enumerate() {
             s.push_str(&format!(
@@ -385,9 +368,26 @@ pub fn audit_root() -> u64 {
     out.audit.root_digest()
 }
 
+/// Runs `f` and returns its wall-clock seconds and the simulator events
+/// it dispatched.
+fn timed(f: impl FnOnce()) -> (f64, u64) {
+    let before = stats::snapshot();
+    let t = Instant::now();
+    f();
+    let wall_s = t.elapsed().as_secs_f64();
+    (wall_s, stats::snapshot().since(before).events_processed)
+}
+
+/// Simulator events per wall-clock second of running `f`.
+fn events_per_sec(f: impl FnOnce()) -> f64 {
+    let (wall_s, events) = timed(f);
+    events as f64 / wall_s.max(1e-9)
+}
+
 /// Runs the pinned gate subset sequentially and times it: best of
 /// [`GATE_PASSES`] unchecked passes for the throughput figure, best of
-/// [`GATE_PASSES`] conformance-checked passes for the overhead ratio.
+/// [`GATE_PASSES`] conformance-checked passes for the overhead ratio;
+/// then times every [`SMOKES`] workload.
 ///
 /// # Panics
 ///
@@ -395,26 +395,30 @@ pub fn audit_root() -> u64 {
 /// a bug in this crate, not a runtime condition.
 pub fn run_gate() -> GateReport {
     let reg = registry();
+    let subset: Vec<_> = GATE_SUBSET
+        .iter()
+        .map(|id| {
+            reg.iter()
+                .find(|(rid, _)| rid == id)
+                .expect("gate subset id in registry")
+        })
+        .collect();
     let ctx = RunCtx::sequential(gate_quality());
     let mut stats_out: Option<Vec<GateStat>> = None;
     for _ in 0..GATE_PASSES {
-        let mut pass = Vec::new();
-        for id in GATE_SUBSET {
-            let (_, gen) = reg
-                .iter()
-                .find(|(rid, _)| rid == id)
-                .expect("gate subset id in registry");
-            let before = stats::snapshot();
-            let t = Instant::now();
-            let _ = gen(&ctx);
-            let wall_s = t.elapsed().as_secs_f64();
-            let used = stats::snapshot().since(before);
-            pass.push(GateStat {
-                id: (*id).to_string(),
-                wall_s,
-                events: used.events_processed,
-            });
-        }
+        let pass: Vec<GateStat> = subset
+            .iter()
+            .map(|(id, gen)| {
+                let (wall_s, events) = timed(|| {
+                    gen(&ctx);
+                });
+                GateStat {
+                    id: (*id).to_string(),
+                    wall_s,
+                    events,
+                }
+            })
+            .collect();
         let total: f64 = pass.iter().map(|s| s.wall_s).sum();
         let best = stats_out
             .as_ref()
@@ -433,12 +437,8 @@ pub fn run_gate() -> GateReport {
     let mut conform_wall_s = f64::INFINITY;
     for _ in 0..GATE_PASSES {
         let t = Instant::now();
-        for id in GATE_SUBSET {
-            let (_, gen) = reg
-                .iter()
-                .find(|(rid, _)| rid == id)
-                .expect("gate subset id in registry");
-            let _ = gen(&conform_ctx);
+        for (_, gen) in &subset {
+            gen(&conform_ctx);
         }
         conform_wall_s = conform_wall_s.min(t.elapsed().as_secs_f64());
     }
@@ -453,11 +453,14 @@ pub fn run_gate() -> GateReport {
         conform_wall_s,
         conform_runs,
         conform_violations,
-        world: world_smoke(),
-        cc: cc_smoke(),
-        sustained_events_per_sec: sustained_smoke(),
-        roc_events_per_sec: roc_smoke(),
-        intensity_events_per_sec: intensity_smoke(),
+        smokes: SMOKES
+            .iter()
+            .map(|&(key, gated, time)| Smoke {
+                key,
+                events_per_sec: time(),
+                gated,
+            })
+            .collect(),
     }
 }
 
@@ -485,12 +488,9 @@ pub fn roc_smoke() -> f64 {
         window: sim::SimDuration::from_millis(100),
     };
     let dir = std::env::temp_dir().join("gr-gate-roc-smoke");
-    let before = stats::snapshot();
-    let t = Instant::now();
-    campaign.run(&dir).expect("pinned roc smoke is valid");
-    let wall = t.elapsed().as_secs_f64();
-    let used = stats::snapshot().since(before);
-    used.events_processed as f64 / wall.max(1e-9)
+    events_per_sec(|| {
+        campaign.run(&dir).expect("pinned roc smoke is valid");
+    })
 }
 
 /// Times the pinned intensity-frontier smoke: a one-seed
@@ -512,12 +512,9 @@ pub fn intensity_smoke() -> f64 {
     let mut campaign = crate::IntensityCampaign::new(quality, 1).with_points(2);
     campaign.window = sim::SimDuration::from_millis(100);
     let dir = std::env::temp_dir().join("gr-gate-intensity-smoke");
-    let before = stats::snapshot();
-    let t = Instant::now();
-    campaign.run(&dir).expect("pinned intensity smoke is valid");
-    let wall = t.elapsed().as_secs_f64();
-    let used = stats::snapshot().since(before);
-    used.events_processed as f64 / wall.max(1e-9)
+    events_per_sec(|| {
+        campaign.run(&dir).expect("pinned intensity smoke is valid");
+    })
 }
 
 /// Times the pinned sustained-throughput workload: one AP saturating
@@ -541,42 +538,30 @@ pub fn sustained_smoke() -> f64 {
         seed: 7,
         ..Scenario::default()
     };
-    let mut best = 0.0f64;
-    for _ in 0..GATE_PASSES {
-        let before = stats::snapshot();
-        let t = Instant::now();
-        Run::plan(&s)
-            .execute()
-            .expect("pinned sustained smoke is valid");
-        let wall = t.elapsed().as_secs_f64();
-        let used = stats::snapshot().since(before);
-        best = best.max(used.events_processed as f64 / wall.max(1e-9));
-    }
-    best
+    (0..GATE_PASSES)
+        .map(|_| {
+            events_per_sec(|| {
+                Run::plan(&s)
+                    .execute()
+                    .expect("pinned sustained smoke is valid");
+            })
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Times the pinned CC smoke: the default 2-pair TCP scenario at gate
-/// fidelity, once per non-default controller, sequentially.
-pub fn cc_smoke() -> CcSmoke {
-    use greedy80211::{CcConfig, Run, Scenario};
-    let run = |cc: CcConfig| {
-        let s = Scenario {
-            cc,
-            duration: sim::SimDuration::from_secs(2),
-            seed: 7,
-            ..Scenario::default()
-        };
-        let before = stats::snapshot();
-        let t = Instant::now();
-        Run::plan(&s).execute().expect("pinned cc smoke is valid");
-        let wall = t.elapsed().as_secs_f64();
-        let used = stats::snapshot().since(before);
-        used.events_processed as f64 / wall.max(1e-9)
+/// fidelity under controller `cc`.
+pub fn cc_smoke(cc: CcConfig) -> f64 {
+    use greedy80211::{Run, Scenario};
+    let s = Scenario {
+        cc,
+        duration: sim::SimDuration::from_secs(2),
+        seed: 7,
+        ..Scenario::default()
     };
-    CcSmoke {
-        cubic_events_per_sec: run(CcConfig::cubic()),
-        bbr_events_per_sec: run(CcConfig::bbr()),
-    }
+    events_per_sec(|| {
+        Run::plan(&s).execute().expect("pinned cc smoke is valid");
+    })
 }
 
 /// The pinned world-smoke template: the gate's 2-pair UDP NAV-inflation
@@ -598,24 +583,15 @@ fn world_smoke_spec(rows: usize, cols: usize) -> greedy80211::WorldSpec {
     spec
 }
 
-/// Times the pinned world smoke at 1 cell and at 3×3 co-channel cells,
+/// Times the pinned world smoke on a `rows`×`cols` co-channel grid,
 /// sequentially (like the rest of the gate) so the figures are
 /// comparable on a 1-core container.
-pub fn world_smoke() -> WorldSmoke {
-    let run = |rows, cols| {
-        let before = stats::snapshot();
-        let t = Instant::now();
+pub fn world_smoke(rows: usize, cols: usize) -> f64 {
+    events_per_sec(|| {
         greedy80211::Run::world(&world_smoke_spec(rows, cols))
             .execute()
             .expect("pinned world smoke is valid");
-        let wall = t.elapsed().as_secs_f64();
-        let used = stats::snapshot().since(before);
-        used.events_processed as f64 / wall.max(1e-9)
-    };
-    WorldSmoke {
-        cells1_events_per_sec: run(1, 1),
-        cells9_events_per_sec: run(3, 3),
-    }
+    })
 }
 
 /// Extracts `"<key>": <number>` from a baseline JSON file. A hand-rolled
@@ -660,24 +636,20 @@ pub fn check_against_baseline(
             tolerance * 100.0
         ));
     }
-    // The CC, sustained and roc smokes ride the same band when the
-    // baseline carries their keys (older baselines predate them and
-    // gate only the aggregate).
-    for (key, cur_cc) in [
-        ("cc_cubic_events_per_sec", report.cc.cubic_events_per_sec),
-        ("cc_bbr_events_per_sec", report.cc.bbr_events_per_sec),
-        ("sustained_events_per_sec", report.sustained_events_per_sec),
-        ("roc_events_per_sec", report.roc_events_per_sec),
-        ("intensity_events_per_sec", report.intensity_events_per_sec),
-    ] {
-        let Some(base_cc) = baseline_value(&text, key) else {
+    // The gated smokes ride the same band when the baseline carries
+    // their keys (older baselines predate them and gate only the
+    // aggregate).
+    for smoke in report.smokes.iter().filter(|s| s.gated) {
+        let key = format!("{}_events_per_sec", smoke.key);
+        let Some(base_smoke) = baseline_value(&text, &key) else {
             continue;
         };
-        let floor_cc = base_cc * (1.0 - tolerance);
-        if cur_cc < floor_cc {
+        let cur_smoke = smoke.events_per_sec;
+        let floor_smoke = base_smoke * (1.0 - tolerance);
+        if cur_smoke < floor_smoke {
             return Err(format!(
-                "{key} regression: {cur_cc:.0} events/s vs baseline {base_cc:.0} \
-                 (floor {floor_cc:.0}, tolerance {:.0} %)",
+                "{key} regression: {cur_smoke:.0} events/s vs baseline {base_smoke:.0} \
+                 (floor {floor_smoke:.0}, tolerance {:.0} %)",
                 tolerance * 100.0
             ));
         }
@@ -692,32 +664,56 @@ pub fn check_against_baseline(
 mod tests {
     use super::*;
 
-    #[test]
-    fn baseline_parser_reads_own_format() {
-        let r = GateReport {
+    /// A report with one fig2 stat and the given smoke throughputs, in
+    /// [`SMOKES`] order.
+    fn report(
+        wall_s: f64,
+        events: u64,
+        conform_wall_s: f64,
+        conform_violations: u64,
+        smoke_eps: [f64; 7],
+    ) -> GateReport {
+        GateReport {
             date: "2026-01-01".into(),
             stats: vec![GateStat {
                 id: "fig2".into(),
-                wall_s: 2.0,
-                events: 1_000_000,
+                wall_s,
+                events,
             }],
             peak_rss_kib: 12_345,
             audit_root: 0xdead_beef,
-            conform_wall_s: 2.1,
+            conform_wall_s,
             conform_runs: 30,
-            conform_violations: 0,
-            world: WorldSmoke {
-                cells1_events_per_sec: 1_000_000.0,
-                cells9_events_per_sec: 800_000.0,
-            },
-            cc: CcSmoke {
-                cubic_events_per_sec: 900_000.0,
-                bbr_events_per_sec: 850_000.0,
-            },
-            sustained_events_per_sec: 1_200_000.0,
-            roc_events_per_sec: 1_100_000.0,
-            intensity_events_per_sec: 1_050_000.0,
-        };
+            conform_violations,
+            smokes: SMOKES
+                .iter()
+                .zip(smoke_eps)
+                .map(|(&(key, gated, _), events_per_sec)| Smoke {
+                    key,
+                    events_per_sec,
+                    gated,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn baseline_parser_reads_own_format() {
+        let r = report(
+            2.0,
+            1_000_000,
+            2.1,
+            0,
+            [
+                1_000_000.0,
+                800_000.0,
+                900_000.0,
+                850_000.0,
+                1_200_000.0,
+                1_100_000.0,
+                1_050_000.0,
+            ],
+        );
         let json = r.to_json();
         let eps = baseline_events_per_sec(&json).expect("parsable");
         assert!((eps - 500_000.0).abs() < 1.0, "{eps}");
@@ -747,34 +743,53 @@ mod tests {
             baseline_value(&json, "sustained_events_per_sec"),
             Some(1_200_000.0)
         );
+        // The key order is the committed baseline's: a table reorder
+        // would silently reshuffle every BENCH_<date>.json.
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.split_once('"'))
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "date",
+                "subset",
+                "total_events",
+                "total_wall_s",
+                "total_events_per_sec",
+                "ns_per_event",
+                "peak_rss_kib",
+                "audit_root",
+                "conform_wall_s",
+                "conform_overhead_pct",
+                "conform_runs",
+                "conform_violations",
+                "world_cells1_events_per_sec",
+                "world_cells9_events_per_sec",
+                "cc_cubic_events_per_sec",
+                "cc_bbr_events_per_sec",
+                "sustained_events_per_sec",
+                "roc_events_per_sec",
+                "intensity_events_per_sec",
+                "experiments",
+            ]
+        );
+    }
+
+    #[test]
+    fn committed_baseline_carries_every_gated_smoke() {
+        let json = include_str!("../../../results/BENCH_BASELINE.json");
+        assert!(baseline_events_per_sec(json).is_some());
+        for (key, gated, _) in SMOKES {
+            let value = baseline_value(json, &format!("{key}_events_per_sec"));
+            assert!(!gated || value.is_some(), "baseline lacks {key}");
+        }
     }
 
     #[test]
     fn conform_check_enforces_violations_and_overhead() {
-        let mk = |wall: f64, violations: u64| GateReport {
-            date: "2026-01-01".into(),
-            stats: vec![GateStat {
-                id: "fig2".into(),
-                wall_s: 1.0,
-                events: 1,
-            }],
-            peak_rss_kib: 0,
-            audit_root: 0,
-            conform_wall_s: wall,
-            conform_runs: 3,
-            conform_violations: violations,
-            world: WorldSmoke {
-                cells1_events_per_sec: 0.0,
-                cells9_events_per_sec: 0.0,
-            },
-            cc: CcSmoke {
-                cubic_events_per_sec: 0.0,
-                bbr_events_per_sec: 0.0,
-            },
-            sustained_events_per_sec: 0.0,
-            roc_events_per_sec: 0.0,
-            intensity_events_per_sec: 0.0,
-        };
+        let mk = |wall: f64, violations: u64| report(1.0, 1, wall, violations, [0.0; 7]);
         assert!(mk(1.10, 0).conform_check(15.0).is_ok());
         assert!(mk(1.30, 0).conform_check(15.0).is_err());
         assert!(mk(1.00, 1).conform_check(15.0).is_err());
@@ -793,30 +808,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_BASELINE.json");
         std::fs::write(&path, "{\n  \"total_events_per_sec\": 1000000,\n}\n").unwrap();
-        let mk = |events: u64| GateReport {
-            date: "2026-01-01".into(),
-            stats: vec![GateStat {
-                id: "fig2".into(),
-                wall_s: 1.0,
-                events,
-            }],
-            peak_rss_kib: 0,
-            audit_root: 0,
-            conform_wall_s: 1.0,
-            conform_runs: 0,
-            conform_violations: 0,
-            world: WorldSmoke {
-                cells1_events_per_sec: 0.0,
-                cells9_events_per_sec: 0.0,
-            },
-            cc: CcSmoke {
-                cubic_events_per_sec: 0.0,
-                bbr_events_per_sec: 0.0,
-            },
-            sustained_events_per_sec: 0.0,
-            roc_events_per_sec: 0.0,
-            intensity_events_per_sec: 0.0,
-        };
+        let mk = |events: u64| report(1.0, events, 1.0, 0, [0.0; 7]);
         assert!(check_against_baseline(&mk(900_000), &path, 0.25).is_ok());
         assert!(check_against_baseline(&mk(1_600_000), &path, 0.25).is_ok());
         assert!(check_against_baseline(&mk(700_000), &path, 0.25).is_err());

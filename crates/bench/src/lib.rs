@@ -12,7 +12,7 @@
 //! Run everything:
 //!
 //! ```sh
-//! cargo run --release -p gr-bench --bin repro -- all
+//! cargo run --release -p gr-bench --bin repro -- run all
 //! ```
 //!
 //! or a single artifact (`fig1`, `tab2`, …), with `--quick` for a
@@ -31,8 +31,7 @@ pub mod world;
 
 pub use cc::{CcCampaign, CcCampaignReport};
 pub use gate::{
-    run_gate, CcSmoke, GateReport, WorldSmoke, CONFORM_OVERHEAD_LIMIT_PCT, GATE_SUBSET,
-    GATE_TOLERANCE,
+    run_gate, GateReport, Smoke, CONFORM_OVERHEAD_LIMIT_PCT, GATE_SUBSET, GATE_TOLERANCE,
 };
 pub use intensity::{IntensityCampaign, IntensityCampaignReport, INTENSITY_GRID};
 pub use quality::Quality;

@@ -1,6 +1,6 @@
 //! Multi-cell world campaigns: greedy density × grid size.
 //!
-//! The paper measures one hotspot at a time; `repro --world` tiles the
+//! The paper measures one hotspot at a time; `repro world` tiles the
 //! same scenario into a [`greedy80211::WorldSpec`] grid and sweeps how
 //! many cells host the greedy receiver against how many cells the world
 //! has. Every `(grid, greedy-density)` combination is one deterministic
@@ -11,7 +11,7 @@
 //! the CI smoke compares the CSVs from a `--jobs 1` and a `--jobs 8`
 //! pass byte for byte.
 //!
-//! `repro --fig2-check` is the identity gate: it regenerates fig. 2 both
+//! `repro fig2-check` is the identity gate: it regenerates fig. 2 both
 //! directly and through 1×1 worlds (same labels, same derived seeds) and
 //! fails unless the two CSVs match byte for byte — the proof that the
 //! lockstep path is the single-network path when there is nothing to
@@ -35,7 +35,7 @@ pub const DEFAULT_GRIDS: &[(usize, usize)] = &[(1, 1), (2, 2), (3, 3)];
 /// cells hosting the greedy receiver).
 pub const DEFAULT_GREEDY_FRACS: &[f64] = &[0.0, 0.34, 1.0];
 
-/// A planned `--world` campaign.
+/// A planned `repro world` campaign.
 #[derive(Debug, Clone)]
 pub struct WorldCampaign {
     /// Run length and template seed source (`seeds[0]`).
@@ -164,7 +164,7 @@ impl WorldCampaign {
     }
 }
 
-/// Result of a finished `--world` campaign.
+/// Result of a finished `repro world` campaign.
 #[derive(Debug)]
 pub struct WorldCampaignReport {
     /// One row per `(grid, greedy-density)` combination.
@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn one_by_one_world_matches_direct_sweep() {
-        // The full `--fig2-check` sweeps 11 points at campaign fidelity;
+        // The full `repro fig2-check` sweeps 11 points at campaign fidelity;
         // this is the same identity on a 2-point, 300 ms slice.
         let ctx = RunCtx::sequential(tiny_quality());
         let q = tiny_quality();
